@@ -329,6 +329,26 @@ let int_flag ~op seen flag ~default =
       | Some i -> i
       | None -> fail (Api.Error.make Api.Error.Bad_request "flag %s of %s expects an integer" flag op))
 
+(* Save an inferred hyperbolic embedding as a 1-D GIRG instance (the
+   form [route] loads); returns the vertex count. *)
+let save_embedding ~out ~graph embedding =
+  let h = Hyperbolic.Embed.to_hrg embedding ~graph in
+  let n = Sparse_graph.Graph.n graph in
+  let girg_params =
+    Girg.Params.make ~dim:1 ~beta:2.5
+      ~w_min:(Array.fold_left Float.min infinity h.Hyperbolic.Hrg.weights)
+      ~alpha:Girg.Params.Infinite ~poisson_count:false ~n ()
+  in
+  Girg.Store.save ~path:out
+    {
+      Girg.Instance.params = girg_params;
+      weights = h.Hyperbolic.Hrg.weights;
+      positions = h.Hyperbolic.Hrg.positions;
+      packed = Geometry.Torus.Packed.of_points ~dim:1 h.Hyperbolic.Hrg.positions;
+      graph;
+    };
+  n
+
 let embed_known =
   [ ("-o", "--output"); ("--output", "--output");
     ("--refinement-sweeps", "--refinement-sweeps"); ("--seed", "--seed");
@@ -349,21 +369,7 @@ let run_embed args =
   let graph = inst.Girg.Instance.graph in
   let rng = Prng.Rng.create ~seed in
   let embedding = Hyperbolic.Embed.infer ~rng ~graph ~refinement_sweeps:sweeps () in
-  let h = Hyperbolic.Embed.to_hrg embedding ~graph in
-  let n = Sparse_graph.Graph.n graph in
-  let girg_params =
-    Girg.Params.make ~dim:1 ~beta:2.5
-      ~w_min:(Array.fold_left Float.min infinity h.Hyperbolic.Hrg.weights)
-      ~alpha:Girg.Params.Infinite ~poisson_count:false ~n ()
-  in
-  Girg.Store.save ~path:out
-    {
-      Girg.Instance.params = girg_params;
-      weights = h.Hyperbolic.Hrg.weights;
-      positions = h.Hyperbolic.Hrg.positions;
-      packed = Geometry.Torus.Packed.of_points ~dim:1 h.Hyperbolic.Hrg.positions;
-      graph;
-    };
+  let n = save_embedding ~out ~graph embedding in
   Printf.printf
     "embedded %d vertices from connectivity alone; wrote %s\n\
      (route on it with `graphs_cli route %s -s .. -t ..`)\n"
@@ -388,21 +394,7 @@ let run_import args =
   | Ok graph ->
       let rng = Prng.Rng.create ~seed in
       let embedding = Hyperbolic.Embed.infer ~rng ~graph () in
-      let h = Hyperbolic.Embed.to_hrg embedding ~graph in
-      let n = Sparse_graph.Graph.n graph in
-      let girg_params =
-        Girg.Params.make ~dim:1 ~beta:2.5
-          ~w_min:(Array.fold_left Float.min infinity h.Hyperbolic.Hrg.weights)
-          ~alpha:Girg.Params.Infinite ~poisson_count:false ~n ()
-      in
-      Girg.Store.save ~path:out
-        {
-          Girg.Instance.params = girg_params;
-          weights = h.Hyperbolic.Hrg.weights;
-          positions = h.Hyperbolic.Hrg.positions;
-          packed = Geometry.Torus.Packed.of_points ~dim:1 h.Hyperbolic.Hrg.positions;
-          graph;
-        };
+      let n = save_embedding ~out ~graph embedding in
       Printf.printf "imported %d vertices / %d edges and embedded them; wrote %s\n" n
         (Sparse_graph.Graph.m graph) out
 

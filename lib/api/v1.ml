@@ -1,9 +1,18 @@
-(* The single definition of route/sample/stats parameters: typed
-   requests, the JSON wire codec used by the daemon, and the
-   argument-list codec used by the CLIs.  Both codecs round-trip
-   exactly (pinned by test/test_api.ml), and the flag tables below
-   also generate the machine-readable schema dump, so parser, printer
-   and documentation cannot drift apart. *)
+(* Version 1 of the routing API: typed requests and replies, the JSON
+   wire codec the daemon speaks, the argument-list codec the CLIs parse,
+   and the schema dump for client authors.
+
+   A field's JSON key, CLI flag (the key with '_' spelled '-' unless
+   given), deprecated aliases, value type, default (or that it is
+   required) and doc line all live in its one [fld] definition.  Each op
+   is one row of [table], holding a description of its request and of
+   its reply: the fields in wire order, a constructor from their values
+   and its inverse ([desc]).  Both directions of the JSON codec, both
+   directions of the argv codec, the schema dump's flag tables and the
+   op inventory are derived from those rows, so each key, flag and
+   default is written once and the codecs cannot drift apart.  The
+   bytes both wire codecs emit are pinned by
+   test/golden/api_v1_wire.txt. *)
 
 module J = Obs.Export
 
@@ -216,66 +225,25 @@ let float_arg f =
     let s = Printf.sprintf "%.9g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-(* Shared by both codecs: a shard index names one band of [0, shards). *)
-let check_shard_range ~what ~shards ~shard =
-  if shards < 1 then err_bad "%s: shards must be >= 1, got %d" what shards
-  else if shard < 0 || shard >= shards then
-    err_bad "%s: shard must be in [0, %d), got %d" what shards shard
-  else Ok ()
-
-let pool_to_string = function Any -> "any" | Giant -> "giant"
-
-let pool_of_string = function
-  | "any" -> Ok Any
-  | "giant" -> Ok Giant
-  | s -> err_bad "bad --pool %S (any | giant)" s
-
 (* ------------------------------------------------------------------ *)
-(* JSON wire codec                                                     *)
+(* Value types                                                         *)
 
-let model_fields = function
-  | Girg p ->
-      [
-        ("model", J.Str "girg");
-        ("n", J.Int p.Girg.Params.n);
-        ("dim", J.Int p.dim);
-        ("beta", J.Float p.beta);
-        ("w_min", J.Float p.w_min);
-        ( "alpha",
-          match p.alpha with
-          | Girg.Params.Infinite -> J.Str "inf"
-          | Girg.Params.Finite a -> J.Float a );
-        ("c", J.Float p.c);
-        ("norm", J.Str (Girg.Params.norm_to_string p.norm));
-        ("poisson", J.Bool p.poisson_count);
-      ]
-  | Hrg p ->
-      [
-        ("model", J.Str "hrg");
-        ("n", J.Int p.Hyperbolic.Hrg.n);
-        ("alpha_h", J.Float p.alpha_h);
-        ("radius_c", J.Float p.radius_c);
-        ("temperature", J.Float p.temperature);
-      ]
-  | Kleinberg p ->
-      [
-        ("model", J.Str "kleinberg");
-        ("side", J.Int p.Kleinberg.Lattice.side);
-        ("long_range", J.Int p.long_range);
-        ("exponent", J.Float p.exponent);
-      ]
+(* How a field's value is spelled in JSON and as a command-line
+   argument.  A parser's [None] is a value of the wrong shape, reported
+   with [expects].  A value equal to [absent] is left out by both
+   printers and is what a missing field reads as. *)
+type 'a ty = {
+  tname : string;  (* the schema's type column; a "flag" takes no argument *)
+  expects : string;
+  absent : 'a option;
+  to_json : 'a -> J.json;
+  of_json : J.json -> 'a option;
+  to_arg : 'a -> string;
+  of_arg : string -> 'a option;
+}
 
-let pairs_fields = function
-  | Pairs ps ->
-      [ ("pairs", J.Arr (List.map (fun (s, t) -> J.Arr [ J.Int s; J.Int t ]) ps)) ]
-  | Drawn { count; pair_seed; pool } ->
-      [
-        ("count", J.Int count);
-        ("pair_seed", J.Int pair_seed);
-        ("pair_pool", J.Str (pool_to_string pool));
-      ]
-
-(* Field accessors over a parsed JSON object. *)
+let scalar tname expects to_json of_json to_arg of_arg =
+  { tname; expects; absent = None; to_json; of_json; to_arg; of_arg }
 
 let jint = function J.Int i -> Some i | _ -> None
 
@@ -287,501 +255,973 @@ let jfloat = function
 let jstr = function J.Str s -> Some s | _ -> None
 let jbool = function J.Bool b -> Some b | _ -> None
 
-let req_field ~what name conv j =
-  match J.member name j with
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> err_bad "field %S of a %s request has the wrong type" name what)
-  | None -> err_bad "%s request is missing field %S" what name
+let int_t = scalar "int" "an integer" (fun i -> J.Int i) jint string_of_int int_of_string_opt
 
-let opt_field ~what name conv j =
-  match J.member name j with
-  | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> err_bad "field %S of a %s request has the wrong type" name what)
+let float_t = scalar "float" "a number" (fun f -> J.Float f) jfloat float_arg float_of_string_opt
 
-let validate_girg ~what p =
-  match Girg.Params.validate p with
-  | Ok p -> Ok p
-  | Error m -> err_bad "invalid girg parameters in %s request: %s" what m
+let string_t = scalar "string" "a string" (fun s -> J.Str s) jstr Fun.id Option.some
+let bool_t = scalar "bool" "a boolean" (fun b -> J.Bool b) jbool string_of_bool bool_of_string_opt
 
-let model_of_json ~what j =
-  let* kind = req_field ~what "model" jstr j in
-  match kind with
-  | "girg" ->
-      let dflt = Girg.Params.default in
-      let* n = req_field ~what "n" jint j in
-      let* dim = opt_field ~what "dim" jint j in
-      let* beta = opt_field ~what "beta" jfloat j in
-      let* w_min = opt_field ~what "w_min" jfloat j in
-      let* c = opt_field ~what "c" jfloat j in
-      let* alpha =
-        match J.member "alpha" j with
-        | None -> Ok dflt.Girg.Params.alpha
-        | Some (J.Str s) -> alpha_of_string s
-        | Some v -> (
-            match jfloat v with
-            | Some a -> Ok (Girg.Params.Finite a)
-            | None -> err_bad "field \"alpha\" of a %s request has the wrong type" what)
+(* A string-valued enumeration. *)
+let enum tname expects to_s of_s =
+  scalar tname expects (fun v -> J.Str (to_s v)) (fun j -> Option.bind (jstr j) of_s) to_s of_s
+
+let protocol_t =
+  enum "protocol" "one of greedy | phi-dfs | history | gravity-pressure" protocol_to_string
+    (fun s -> Result.to_option (protocol_of_string s))
+
+let pool_t =
+  enum "pool" "one of giant | any"
+    (function Any -> "any" | Giant -> "giant")
+    (function "any" -> Some Any | "giant" -> Some Giant | _ -> None)
+
+let norm_t =
+  enum "norm" "one of linf | l2 | l1" Girg.Params.norm_to_string Girg.Params.norm_of_string
+
+let scenario_t =
+  enum "scenario" "one of uniform | adversarial | milgram"
+    Experiments.Churn.scenario_to_string (fun s ->
+      Result.to_option (Experiments.Churn.scenario_of_string s))
+
+let mutation_t =
+  enum "mutation" "mutations (leave:V | rejoin:V | drop:U:V | resample:V)"
+    Girg.Mutate.op_to_string (fun s -> Result.to_option (Girg.Mutate.op_of_string s))
+
+let status_t = enum "status" "a route status" status_to_string status_of_string
+
+(* A GIRG's decay: "inf" or a number, on both codecs. *)
+let alpha_t =
+  scalar "alpha" "a float > 1, or 'inf'"
+    (function Girg.Params.Infinite -> J.Str "inf" | Finite a -> J.Float a)
+    (function
+      | J.Str s -> Result.to_option (alpha_of_string s)
+      | j -> Option.map (fun a -> Girg.Params.Finite a) (jfloat j))
+    (function Girg.Params.Infinite -> "inf" | Finite a -> float_arg a)
+    (fun s -> Result.to_option (alpha_of_string s))
+
+(* An optional value: [None] is left out of both codecs. *)
+let opt t =
+  {
+    tname = t.tname;
+    expects = t.expects;
+    absent = Some None;
+    to_json = (fun v -> Option.fold ~none:J.Null ~some:t.to_json v);
+    of_json = (fun j -> Option.map Option.some (t.of_json j));
+    to_arg = (fun v -> Option.fold ~none:"" ~some:t.to_arg v);
+    of_arg = (fun s -> Option.map Option.some (t.of_arg s));
+  }
+
+(* Present but possibly null (a route's BFS distance). *)
+let nullable t =
+  {
+    (opt t) with
+    absent = None;
+    of_json = (function J.Null -> Some None | j -> Option.map Option.some (t.of_json j));
+  }
+
+(* Churn means over zero delivered routes are NaN, which JSON writes as
+   null. *)
+let nan_t = { float_t with of_json = (function J.Null -> Some Float.nan | j -> jfloat j) }
+
+let all f xs =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | x :: rest -> ( match f x with Some y -> go (y :: acc) rest | None -> None)
+  in
+  go [] xs
+
+(* A JSON array; a comma-separated list on the command line. *)
+let list_t ?(nonempty = false) tname expects elt =
+  let check l = if nonempty && l = [] then None else Some l in
+  scalar tname expects
+    (fun l -> J.Arr (List.map elt.to_json l))
+    (function J.Arr items -> Option.bind (all elt.of_json items) check | _ -> None)
+    (fun l -> String.concat "," (List.map elt.to_arg l))
+    (fun s ->
+      Option.bind (all elt.of_arg (List.filter (( <> ) "") (String.split_on_char ',' s))) check)
+
+let pair_t =
+  let both s t =
+    match (s, t) with Some s, Some t -> Some (s, t) | _ -> None
+  in
+  scalar "pair" "a source:target pair"
+    (fun (s, t) -> J.Arr [ J.Int s; J.Int t ])
+    (function J.Arr [ s; t ] -> both (jint s) (jint t) | _ -> None)
+    (fun (s, t) -> Printf.sprintf "%d:%d" s t)
+    (fun p ->
+      match String.split_on_char ':' p with
+      | [ s; t ] -> both (int_of_string_opt s) (int_of_string_opt t)
+      | _ -> None)
+
+(* A JSON object read as a string-keyed map (replies only: never on the
+   command line). *)
+let map_t elt =
+  scalar "map"
+    ("an object of " ^ elt.tname ^ " values")
+    (fun kvs -> J.Obj (List.map (fun (k, v) -> (k, elt.to_json v)) kvs))
+    (function
+      | J.Obj kvs -> all (fun (k, v) -> Option.map (fun x -> (k, x)) (elt.of_json v)) kvs
+      | _ -> None)
+    (fun _ -> "") (fun _ -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Fields, and reading and writing them                                *)
+
+type 'a field = {
+  key : string;  (* JSON key *)
+  flag : string;  (* canonical CLI flag; "" for sample's leading model token *)
+  als : string list;  (* deprecation shims: parsed, never printed *)
+  ty : 'a ty;
+  dflt : 'a option;  (* [None]: required *)
+  doc : string;
+}
+
+let fld ?flag ?(als = []) ?dflt ?(doc = "") ty key =
+  let flag =
+    match flag with
+    | Some f -> f
+    | None -> "--" ^ String.map (function '_' -> '-' | c -> c) key
+  in
+  { key; flag; als; ty; dflt = (if dflt = None then ty.absent else dflt); doc }
+
+type any_field = F : 'a field -> any_field
+type binding = B : 'a field * 'a -> binding
+
+let ( @= ) f v = B (f, v)
+
+(* Where a decoder reads its fields: a JSON object, or the scanned
+   command line (canonical flag -> raw value).  The string names the
+   object or op in error messages. *)
+type src = Json of string * J.json | Argv of string * (string, string) Hashtbl.t
+
+let label = function Json (what, _) | Argv (what, _) -> what
+let spell src f = match src with Json _ -> Printf.sprintf "%S" f.key | Argv _ -> f.flag
+
+let has src f =
+  match src with
+  | Json (_, j) -> J.member f.key j <> None
+  | Argv (_, seen) -> Hashtbl.mem seen f.flag
+
+let missing src f =
+  match src with
+  | Json (what, _) -> err_bad "%s is missing field %S" what f.key
+  | Argv (op, _) -> err_bad "%s requires %s" op f.flag
+
+let default src f = match f.dflt with Some d -> Ok d | None -> missing src f
+
+let get src f =
+  match src with
+  | Json (what, j) -> (
+      match J.member f.key j with
+      | None -> default src f
+      | Some v -> (
+          match f.ty.of_json v with
+          | Some x -> Ok x
+          | None -> err_bad "field %S of %s must be %s" f.key what f.ty.expects))
+  | Argv (op, seen) -> (
+      match Hashtbl.find_opt seen f.flag with
+      | None -> default src f
+      | Some v -> (
+          match f.ty.of_arg v with
+          | Some x -> Ok x
+          | None -> err_bad "flag %s of %s expects %s, got %S" f.flag op f.ty.expects v))
+
+(* An optional field that this op requires after all. *)
+let need src f =
+  let* v = get src f in
+  match v with Some x -> Ok x | None -> missing src f
+
+(* Absent values are constants ([None]), so physical equality finds them. *)
+let omitted f v = match f.ty.absent with Some a -> v == a | None -> false
+
+let rec json_fields = function
+  | [] -> []
+  | B (f, v) :: bs when omitted f v -> json_fields bs
+  | B (f, v) :: bs -> (f.key, f.ty.to_json v) :: json_fields bs
+
+(* The model token prints first and bare; a switch prints bare when its
+   value is off its default. *)
+let argv_of bs =
+  let tokens (B (f, v)) =
+    if omitted f v then []
+    else if f.flag = "" then [ f.ty.to_arg v ]
+    else if f.ty.tname = "flag" then if Some v = f.dflt then [] else [ f.flag ]
+    else [ f.flag; f.ty.to_arg v ]
+  in
+  let bare, flagged = List.partition (fun (B (f, _)) -> f.flag = "") bs in
+  List.concat_map tokens (bare @ flagged)
+
+(* The fields of a record, or of one constructor of a variant, in wire
+   order, and the values that fill them: [Fields.[ f1; f2 ]] and
+   [Values.[ v1; v2 ]] share the index [a1 * (a2 * unit)]. *)
+module Fields = struct
+  type _ t = [] : unit t | ( :: ) : 'a field * 'b t -> ('a * 'b) t
+end
+
+module Values = struct
+  type _ t = [] : unit t | ( :: ) : 'a * 'b t -> ('a * 'b) t
+end
+
+let rec flags_of : type t. t Fields.t -> any_field list = function
+  | Fields.[] -> []
+  | Fields.(f :: fs) -> F f :: flags_of fs
+
+let rec read_fields : type t. t Fields.t -> src -> (t Values.t, Error.t) result =
+ fun fields src ->
+  match fields with
+  | Fields.[] -> Ok Values.[]
+  | Fields.(f :: fs) ->
+      let* x = get src f in
+      let* xs = read_fields fs src in
+      Ok Values.(x :: xs)
+
+let rec bind_fields : type t. t Fields.t -> t Values.t -> binding list =
+ fun fields values ->
+  match (fields, values) with
+  | Fields.[], Values.[] -> []
+  | Fields.(f :: fs), Values.(x :: xs) -> (f @= x) :: bind_fields fs xs
+
+(* Everything the codecs need of a value's type: the flags it takes, a
+   value's bindings in wire order ([None]: a value of another
+   constructor), and how to read one back. *)
+type 'v codec = {
+  flags : any_field list;
+  enc : 'v -> binding list option;
+  dec : src -> ('v, Error.t) result;
+}
+
+(* A value described once: its [fields], [make] from their values, and
+   [split] back into them.  Both directions of both codecs follow. *)
+let desc fields make split =
+  {
+    flags = flags_of fields;
+    enc = (fun v -> match split v with Some vs -> Some (bind_fields fields vs) | None -> None);
+    dec = (fun src -> Result.map make (read_fields fields src));
+  }
+
+let record fields make split = desc fields make (fun v -> Some (split v))
+let bindings c v = Option.value (c.enc v) ~default:[]
+
+(* A variant constructor carrying a described record. *)
+let answers c inj proj =
+  {
+    flags = c.flags;
+    enc = (fun v -> Option.bind (proj v) c.enc);
+    dec = (fun src -> Result.map inj (c.dec src));
+  }
+
+let nullary v =
+  { flags = []; enc = (fun x -> if x = v then Some [] else None); dec = (fun _ -> Ok v) }
+
+(* A nested JSON object (never on the command line). *)
+let obj_t expects c =
+  scalar "object" expects
+    (fun r -> J.Obj (json_fields (bindings c r)))
+    (fun j -> Result.to_option (c.dec (Json (expects, j))))
+    (fun _ -> "") (fun _ -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Request fields                                                      *)
+
+let id_f = fld (opt int_t) "id" ~doc:"request id, echoed in the reply"
+
+let deadline_f =
+  fld (opt int_t) "deadline_ms"
+    ~doc:"deadline in milliseconds from request receipt; expiry returns the 'deadline' error"
+
+let trace_id_f =
+  fld (opt string_t) "id" ~flag:"--trace-id"
+    ~doc:
+      "distributed-trace id: the server's smallworld.trace.v1 record joins the trace of \
+       this id"
+
+let trace_span_f =
+  fld int_t "span" ~flag:"--trace-parent" ~dflt:0
+    ~doc:"span id (within --trace-id) the server's spans hang under"
+
+let output_f =
+  fld (opt string_t) "output" ~als:[ "-o" ]
+    ~doc:"CLI only: file the sampled instance is written to"
+
+let obs_out_f = fld (opt string_t) "obs_out" ~doc:"CLI only: write a JSONL run manifest"
+
+let events_out_f =
+  fld (opt string_t) "events_out"
+    ~doc:"CLI only (route): write flight-recorder events (smallworld.events.v1)"
+
+let trace_out_f =
+  fld (opt string_t) "trace_out"
+    ~doc:
+      "CLI only (route, route-batch): write this run's span tree as a smallworld.trace.v1 \
+       record"
+
+let jobs_f =
+  let of_arg s = Result.to_option (parse_jobs s) in
+  fld (opt { int_t with expects = "a non-negative integer"; of_arg }) "jobs" ~als:[ "-j" ]
+    ~doc:"worker domains (0 = all cores); overrides SMALLWORLD_JOBS"
+
+let n_f = fld int_t "n" ~als:[ "-n" ] ~dflt:10_000 ~doc:"expected vertex count"
+let dim_f = fld int_t "dim" ~dflt:2 ~doc:"torus dimension"
+let beta_f = fld float_t "beta" ~dflt:2.5 ~doc:"power-law exponent in (2,3)"
+let w_min_f = fld float_t "w_min" ~dflt:1.0 ~doc:"minimum weight"
+
+let alpha_f =
+  fld alpha_t "alpha" ~dflt:(Girg.Params.Finite 2.0) ~doc:"decay parameter (> 1) or 'inf'"
+
+let c_f = fld float_t "c" ~als:[ "-c" ] ~dflt:0.25 ~doc:"edge probability constant"
+
+let norm_f = fld norm_t "norm" ~dflt:Geometry.Torus.Linf ~doc:"torus norm: linf | l2 | l1"
+
+(* [--fixed-count] is a bare switch that clears JSON's "poisson". *)
+let poisson_f =
+  fld { bool_t with tname = "flag"; of_arg = (fun _ -> Some false) } "poisson"
+    ~flag:"--fixed-count" ~dflt:true ~doc:"exactly n vertices instead of Poisson(n)"
+
+let shards_f =
+  fld int_t "shards" ~dflt:1
+    ~doc:"split edge generation into this many deterministic shards (with --spill-out)"
+
+let shard_f = fld int_t "shard" ~dflt:0 ~doc:"which shard to generate, in [0, --shards)"
+
+let spill_out_f =
+  fld (opt string_t) "out" ~flag:"--spill-out"
+    ~doc:"write this shard's edges as a binary spill file instead of a full instance"
+
+let hrg_n_f = fld int_t "n" ~als:[ "-n" ] ~dflt:10_000 ~doc:"vertex count"
+let alpha_h_f = fld float_t "alpha_h" ~dflt:0.75 ~doc:"radial dispersion in (1/2, 1)"
+let radius_c_f = fld float_t "radius_c" ~dflt:0.0 ~doc:"constant C in R = 2 ln n + C"
+let temperature_f = fld float_t "temperature" ~dflt:0.0 ~doc:"T in [0, 1)"
+let side_f = fld int_t "side" ~doc:"lattice side (side^2 vertices)"
+let long_range_f = fld int_t "long_range" ~dflt:1 ~doc:"long-range contacts per vertex"
+
+let exponent_f = fld float_t "exponent" ~dflt:2.0 ~doc:"decay exponent of the contact distribution"
+
+let model_f = fld string_t "model" ~flag:""
+
+let sample_name_f = fld (opt string_t) "name" ~doc:"registry name (CLI default: the --output path)"
+
+let seed_f = fld int_t "seed" ~dflt:42 ~doc:"random seed"
+
+let instance_f =
+  fld string_t "instance"
+    ~doc:"instance name (daemon) or file (CLI); also the positional argument"
+
+let source_f = fld int_t "source" ~als:[ "-s" ] ~doc:"source vertex"
+let target_f = fld int_t "target" ~als:[ "-t" ] ~doc:"target vertex"
+
+let protocol_f =
+  fld protocol_t "protocol" ~dflt:Greedy_routing.Protocol.Greedy
+    ~doc:"greedy | phi-dfs | history | gravity-pressure"
+
+let max_steps_f = fld (opt int_t) "max_steps" ~doc:"step budget (default: unlimited)"
+
+let pairs_f =
+  fld
+    (opt (list_t "pairs" "a list of source:target pairs" pair_t))
+    "pairs" ~doc:"explicit pairs, e.g. 1:2,3:4 (excludes --count)"
+
+let count_f = fld (opt int_t) "count" ~doc:"number of sampled pairs (excludes --pairs)"
+let pair_seed_f = fld int_t "pair_seed" ~dflt:0 ~doc:"seed of the pair-sampling substream"
+let pool_f = fld pool_t "pair_pool" ~flag:"--pool" ~dflt:Giant ~doc:"pair pool: giant | any"
+let load_name_f = fld string_t "name" ~doc:"registry name for the loaded instance"
+
+let path_f =
+  fld string_t "path" ~doc:"instance file (smallworld-girg format); also the positional argument"
+
+let merge_name_f = fld string_t "name" ~doc:"registry name for the merged instance"
+
+let spills_f =
+  fld
+    (list_t ~nonempty:true "paths" "a non-empty list of spill paths" string_t)
+    "spills"
+    ~doc:"comma-separated spill files, one per shard index; also the positional argument"
+
+let out_f = fld string_t "out" ~doc:"where the v2 binary snapshot is written"
+
+let ops_f =
+  fld
+    (list_t ~nonempty:true "mutations" "a non-empty list of mutations" mutation_t)
+    "ops" ~doc:"comma-separated mutations: leave:V | rejoin:V | drop:U:V | resample:V"
+
+let mutate_seed_f =
+  fld int_t "seed" ~dflt:42
+    ~doc:"seed of the resample substreams (replay-deterministic per epoch)"
+
+let scenario_f =
+  fld scenario_t "scenario" ~dflt:Experiments.Churn.Uniform
+    ~doc:"uniform | adversarial | milgram"
+
+let epochs_f = fld int_t "epochs" ~dflt:3 ~doc:"mutation rounds after the baseline"
+
+let events_f = fld int_t "events" ~dflt:16 ~doc:"structural events per epoch (ignored by milgram)"
+
+let quit_f =
+  fld float_t "quit" ~dflt:0.0
+    ~doc:"per-hop quit probability (Milgram attrition), 0 disables"
+
+let churn_seed_f =
+  fld int_t "seed" ~dflt:42 ~doc:"seed of churn planning, resampling and quit coins"
+
+let churn_count_f = fld int_t "count" ~dflt:200 ~doc:"measurement pairs per epoch"
+
+(* ------------------------------------------------------------------ *)
+(* Record descriptions                                                 *)
+
+type exec_opts = {
+  output : string option;
+  obs_out : string option;
+  events_out : string option;
+  trace_out : string option;
+  jobs : int option;
+}
+
+let no_exec = { output = None; obs_out = None; events_out = None; trace_out = None; jobs = None }
+
+let exec_c =
+  record
+    Fields.[ output_f; obs_out_f; events_out_f; trace_out_f; jobs_f ]
+    (fun Values.[ output; obs_out; events_out; trace_out; jobs ] ->
+      { output; obs_out; events_out; trace_out; jobs })
+    (fun x -> Values.[ x.output; x.obs_out; x.events_out; x.trace_out; x.jobs ])
+
+(* JSON nests the trace context in a "trace" object; the command line
+   spells the same two fields as flat flags.  The id is optional as a
+   flag but required once a trace is given. *)
+let trace_c =
+  {
+    flags = [ F trace_id_f; F trace_span_f ];
+    enc =
+      (fun t -> Some [ trace_id_f @= Some t.trace_id; trace_span_f @= t.parent_span ]);
+    dec =
+      (fun src ->
+        let* trace_id = need src trace_id_f in
+        let* parent_span = get src trace_span_f in
+        Ok { trace_id; parent_span });
+  }
+
+(* Sample's model tag: the "model" key in JSON, the token after
+   [sample] on the command line, which also selects the flags accepted
+   after it.  Sharded generation rides under [sample girg --spill-out]. *)
+type model_row = { m_tag : string; m_flags : any_field list; m_codec : model codec }
+
+let model ?(extra = []) m_tag m_codec = { m_tag; m_flags = m_codec.flags @ extra; m_codec }
+
+let models =
+  [
+    model "girg"
+      ~extra:[ F shards_f; F shard_f; F spill_out_f ]
+      (desc
+         Fields.[ n_f; dim_f; beta_f; w_min_f; alpha_f; c_f; norm_f; poisson_f ]
+         (fun Values.[ n; dim; beta; w_min; alpha; c; norm; poisson_count ] ->
+           Girg (Girg.Params.validate_exn { n; dim; beta; w_min; alpha; c; norm; poisson_count }))
+         (function
+           | Girg p ->
+               Some
+                 Values.[ p.n; p.dim; p.beta; p.w_min; p.alpha; p.c; p.norm; p.poisson_count ]
+           | _ -> None));
+    model "hrg"
+      (desc
+         Fields.[ hrg_n_f; alpha_h_f; radius_c_f; temperature_f ]
+         (fun Values.[ n; alpha_h; radius_c; temperature ] ->
+           Hrg (Hyperbolic.Hrg.make ~alpha_h ~radius_c ~temperature ~n ()))
+         (function
+           | Hrg p -> Some Values.[ p.n; p.alpha_h; p.radius_c; p.temperature ]
+           | _ -> None));
+    model "kleinberg"
+      (desc
+         Fields.[ side_f; long_range_f; exponent_f ]
+         (fun Values.[ side; long_range; exponent ] ->
+           Kleinberg (Kleinberg.Lattice.make ~long_range ~exponent ~side ()))
+         (function
+           | Kleinberg p -> Some Values.[ p.side; p.long_range; p.exponent ] | _ -> None));
+  ]
+
+let model_tags = String.concat " | " (List.map (fun m -> m.m_tag) models)
+
+let model_bindings model =
+  List.concat_map
+    (fun m ->
+      match m.m_codec.enc model with Some bs -> (model_f @= m.m_tag) :: bs | None -> [])
+    models
+
+(* Each model's own constructor validates its parameters. *)
+let read_model src =
+  let* tag = get src model_f in
+  match List.find_opt (fun m -> m.m_tag = tag) models with
+  | None -> err_bad "unknown model %S (%s)" tag model_tags
+  | Some m -> (
+      match m.m_codec.dec src with
+      | r -> r
+      | exception Invalid_argument msg -> err_bad "invalid %s parameters: %s" tag msg)
+
+let read_gen_shard src =
+  let* model = read_model src in
+  let* seed = get src seed_f in
+  let* shards = get src shards_f in
+  let* shard = get src shard_f in
+  let* out = need src spill_out_f in
+  match model with
+  | Hrg _ | Kleinberg _ -> err_bad "gen_shard supports the girg model only"
+  | Girg _ when shards < 1 -> err_bad "%s: shards must be >= 1, got %d" (label src) shards
+  | Girg _ when shard < 0 || shard >= shards ->
+      err_bad "%s: shard must be in [0, %d), got %d" (label src) shards shard
+  | Girg params -> Ok (Gen_shard { params; seed; shards; shard; out })
+
+let read_sample src =
+  match src with
+  | Argv _ when has src spill_out_f -> read_gen_shard src
+  | Argv _ when has src shards_f || has src shard_f ->
+      err_bad "sharded generation writes a spill file: add --spill-out FILE"
+  | _ ->
+      let* name =
+        match src with
+        | Argv (_, seen) when Hashtbl.mem seen output_f.flag && not (has src sample_name_f)
+          ->
+            (* the CLI names an instance after the file it writes *)
+            Ok (Hashtbl.find seen output_f.flag)
+        | _ -> need src sample_name_f
       in
-      let* norm =
-        match J.member "norm" j with
-        | None -> Ok dflt.Girg.Params.norm
-        | Some (J.Str s) -> (
-            match Girg.Params.norm_of_string s with
-            | Some n -> Ok n
-            | None -> err_bad "bad norm %S (linf | l2 | l1)" s)
-        | Some _ -> err_bad "field \"norm\" of a %s request has the wrong type" what
-      in
-      let* poisson = opt_field ~what "poisson" jbool j in
-      let* p =
-        validate_girg ~what
-          {
-            Girg.Params.n;
-            dim = Option.value dim ~default:dflt.Girg.Params.dim;
-            beta = Option.value beta ~default:dflt.Girg.Params.beta;
-            w_min = Option.value w_min ~default:dflt.Girg.Params.w_min;
-            alpha;
-            c = Option.value c ~default:dflt.Girg.Params.c;
-            norm;
-            poisson_count = Option.value poisson ~default:true;
-          }
-      in
-      Ok (Girg p)
-  | "hrg" ->
-      let* n = req_field ~what "n" jint j in
-      let* alpha_h = opt_field ~what "alpha_h" jfloat j in
-      let* radius_c = opt_field ~what "radius_c" jfloat j in
-      let* temperature = opt_field ~what "temperature" jfloat j in
-      (match
-         Hyperbolic.Hrg.make ?alpha_h ?radius_c ?temperature ~n ()
-       with
-      | p -> Ok (Hrg p)
-      | exception Invalid_argument m -> err_bad "invalid hrg parameters: %s" m)
-  | "kleinberg" ->
-      let* side = req_field ~what "side" jint j in
-      let* long_range = opt_field ~what "long_range" jint j in
-      let* exponent = opt_field ~what "exponent" jfloat j in
-      (match Kleinberg.Lattice.make ?long_range ?exponent ~side () with
-      | p -> Ok (Kleinberg p)
-      | exception Invalid_argument m -> err_bad "invalid kleinberg parameters: %s" m)
-  | other -> err_bad "unknown model %S (girg | hrg | kleinberg)" other
+      let* model = read_model src in
+      let* seed = get src seed_f in
+      Ok (Sample { name; model; seed })
 
-let pairs_of_json ~what j =
-  match J.member "pairs" j with
-  | Some (J.Arr items) ->
-      let rec go acc = function
-        | [] -> Ok (Pairs (List.rev acc))
-        | J.Arr [ s; t ] :: rest -> (
-            match (jint s, jint t) with
-            | Some s, Some t -> go ((s, t) :: acc) rest
-            | _ -> err_bad "\"pairs\" entries must be [source, target] int pairs")
-        | _ -> err_bad "\"pairs\" entries must be [source, target] int pairs"
-      in
-      go [] items
-  | Some _ -> err_bad "field \"pairs\" of a %s request must be an array" what
-  | None ->
-      let* count = req_field ~what "count" jint j in
-      let* pair_seed = opt_field ~what "pair_seed" jint j in
-      let* pool =
-        match J.member "pair_pool" j with
-        | None -> Ok Giant
-        | Some (J.Str s) -> pool_of_string s
-        | Some _ -> err_bad "field \"pair_pool\" of a %s request has the wrong type" what
-      in
-      Ok (Drawn { count; pair_seed = Option.value pair_seed ~default:0; pool })
+(* route_batch's pairs: an explicit list, or a count to draw, never
+   both. *)
+let pairs_c =
+  {
+    flags = [ F pairs_f; F count_f; F pair_seed_f; F pool_f ];
+    enc =
+      (function
+      | Pairs ps -> Some [ pairs_f @= Some ps ]
+      | Drawn { count; pair_seed; pool } ->
+          Some [ count_f @= Some count; pair_seed_f @= pair_seed; pool_f @= pool ]);
+    dec =
+      (fun src ->
+        let* pairs = get src pairs_f in
+        let* count = get src count_f in
+        match (pairs, count) with
+        | Some ps, None -> Ok (Pairs ps)
+        | None, Some count ->
+            let* pair_seed = get src pair_seed_f in
+            let* pool = get src pool_f in
+            Ok (Drawn { count; pair_seed; pool })
+        | Some _, Some _ | None, None ->
+            err_bad "%s takes %s or %s%s" (label src) (spell src pairs_f) (spell src count_f)
+              (if pairs = None then "" else ", not both"));
+  }
 
-let protocol_of_json ~what j =
-  match J.member "protocol" j with
-  | None -> Ok Greedy_routing.Protocol.Greedy
-  | Some (J.Str s) -> protocol_of_string s
-  | Some _ -> err_bad "field \"protocol\" of a %s request has the wrong type" what
+(* Replies are JSON only; their fields are required unless a default is
+   given. *)
 
-let route_reply_to_json (r : route_reply) =
-  J.Obj
-    [
-      ("source", J.Int r.source);
-      ("target", J.Int r.target);
-      ("status", J.Str (status_to_string r.status));
-      ("steps", J.Int r.steps);
-      ("visited", J.Int r.visited);
-      ("shortest", match r.shortest with Some d -> J.Int d | None -> J.Null);
-      ("text", J.Str r.text);
-    ]
+let o_ok = fld bool_t "ok"
+let o_op = fld string_t "op"
+let o_name = fld string_t "name"
+let o_params = fld string_t "params"
+let o_vertices = fld int_t "vertices"
+let o_edges = fld int_t "edges"
+let o_path = fld string_t "path"
+let o_generation = fld int_t "generation"
+let o_draining = fld bool_t "draining"
+let o_counters = fld (map_t int_t) "counters"
 
-let instance_info_to_json (i : instance_info) =
-  J.Obj
-    [
-      ("name", J.Str i.name);
-      ("params", J.Str i.params);
-      ("vertices", J.Int i.vertices);
-      ("edges", J.Int i.edges);
-    ]
+let instance_info_c =
+  record
+    Fields.[ o_name; o_params; o_vertices; o_edges ]
+    (fun Values.[ name; params; vertices; edges ] ->
+      ({ name; params; vertices; edges } : instance_info))
+    (fun (i : instance_info) -> Values.[ i.name; i.params; i.vertices; i.edges ])
 
-let churn_row_to_json (r : Experiments.Churn.epoch_row) =
-  J.Obj
-    [
-      ("epoch", J.Int r.epoch);
-      ("live", J.Int r.live);
-      ("edges", J.Int r.edges);
-      ("attempted", J.Int r.attempted);
-      ("delivered", J.Int r.delivered);
-      ("mean_steps", J.Float r.mean_steps);
-      ("mean_stretch", J.Float r.mean_stretch);
-    ]
+let route_c =
+  record
+    Fields.[ source_f; target_f; fld status_t "status"; fld int_t "steps";
+             fld int_t "visited"; fld (nullable int_t) "shortest" ~dflt:None;
+             fld string_t "text" ]
+    (fun Values.[ source; target; status; steps; visited; shortest; text ] ->
+      { source; target; status; steps; visited; shortest; text })
+    (fun r ->
+      Values.[ r.source; r.target; r.status; r.steps; r.visited; r.shortest; r.text ])
 
-let result_to_json = function
-  | Loaded i | Sampled i | Merged i -> instance_info_to_json i
-  | Spilled s ->
-      J.Obj
-        [
-          ("path", J.Str s.sp_path);
-          ("shard", J.Int s.sp_shard);
-          ("shards", J.Int s.sp_shards);
-          ("vertices", J.Int s.sp_vertices);
-          ("edges", J.Int s.sp_edges);
-        ]
-  | Snapshotted s ->
-      J.Obj
-        [
-          ("path", J.Str s.sn_path);
-          ("bytes", J.Int s.sn_bytes);
-          ("vertices", J.Int s.sn_vertices);
-          ("edges", J.Int s.sn_edges);
-        ]
-  | Routed r -> route_reply_to_json r
-  | Routed_batch rs -> J.Obj [ ("routes", J.Arr (List.map route_reply_to_json rs)) ]
-  | Mutated m ->
-      J.Obj
-        [
-          ("name", J.Str m.mu_name);
-          ("epoch", J.Int m.mu_epoch);
-          ("generation", J.Int m.mu_generation);
-          ("live", J.Int m.mu_live);
-          ("vertices", J.Int m.mu_vertices);
-          ("edges", J.Int m.mu_edges);
-          ("applied", J.Int m.mu_applied);
-        ]
-  | Churned c ->
-      J.Obj
-        [
-          ("name", J.Str c.ch_name);
-          ("scenario", J.Str (Experiments.Churn.scenario_to_string c.ch_scenario));
-          ("generation", J.Int c.ch_generation);
-          ("epochs", J.Arr (List.map churn_row_to_json c.ch_rows));
-        ]
-  | Stats_reply s ->
-      J.Obj
-        [
-          ("params", J.Str s.params);
-          ("vertices", J.Int s.vertices);
-          ("edges", J.Int s.edges);
-          ("avg_degree", J.Float s.avg_degree);
-          ("max_degree", J.Int s.max_degree);
-          ("components", J.Int s.components);
-          ("giant", J.Int s.giant);
-        ]
-  | Health_reply h ->
-      J.Obj
-        [
-          ("draining", J.Bool h.draining);
-          ("instances", J.Arr (List.map (fun n -> J.Str n) h.instances));
-          ("counters", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) h.counters));
-        ]
-  | Server_stats_reply s ->
-      let stage_json st =
-        J.Obj
-          [
-            ("stage", J.Str st.stage);
-            ("count", J.Int st.s_count);
-            ("p50", J.Float st.p50);
-            ("p90", J.Float st.p90);
-            ("p99", J.Float st.p99);
-            ("p999", J.Float st.p999);
-            ("max", J.Float st.s_max);
-          ]
-      in
-      J.Obj
-        [
-          ("uptime_s", J.Float s.uptime_s);
-          ("draining", J.Bool s.s_draining);
-          ("obs_live", J.Bool s.obs_live);
-          ("counters", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) s.s_counters));
-          ("gauges", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) s.gauges));
-          ("stages", J.Arr (List.map stage_json s.stages));
-          ("prometheus", J.Str s.prometheus);
-        ]
-  | Drain_ack -> J.Obj [ ("draining", J.Bool true) ]
-  | Failed _ -> J.Null
+(* Means over zero delivered routes are NaN: null on the wire. *)
+let churn_row_c =
+  record
+    Fields.[ fld int_t "epoch"; fld int_t "live"; o_edges; fld int_t "attempted";
+             fld int_t "delivered"; fld nan_t "mean_steps" ~dflt:Float.nan;
+             fld nan_t "mean_stretch" ~dflt:Float.nan ]
+    (fun Values.[ epoch; live; edges; attempted; delivered; mean_steps; mean_stretch ] ->
+      ({ epoch; live; edges; attempted; delivered; mean_steps; mean_stretch }
+        : Experiments.Churn.epoch_row))
+    (fun (r : Experiments.Churn.epoch_row) ->
+      Values.[ r.epoch; r.live; r.edges; r.attempted; r.delivered; r.mean_steps;
+               r.mean_stretch ])
+
+let stage_c =
+  record
+    Fields.[ fld string_t "stage"; fld int_t "count"; fld float_t "p50"; fld float_t "p90";
+             fld float_t "p99"; fld float_t "p999"; fld float_t "max" ]
+    (fun Values.[ stage; s_count; p50; p90; p99; p999; s_max ] ->
+      { stage; s_count; p50; p90; p99; p999; s_max })
+    (fun s -> Values.[ s.stage; s.s_count; s.p50; s.p90; s.p99; s.p999; s.s_max ])
+
+let objects what c = list_t what ("a list of " ^ what) (obj_t what c)
+
+(* ------------------------------------------------------------------ *)
+(* The op table                                                        *)
+
+(* One row per operation: every accepted spelling, and the request and
+   reply descriptions that all codec directions, the schema dump, the
+   daemon's op inventory and the did-you-mean suggestions are read off.
+   A row that is not [r_public] is a wire op only (gen_shard rides
+   under [sample ... --spill-out] on the command line). *)
+type row = {
+  r_wire : string;  (* canonical wire spelling (spans, logs, metrics) *)
+  r_cli : string;  (* canonical CLI token *)
+  r_names : string list;  (* every accepted spelling, wire and CLI *)
+  r_public : bool;
+  r_doc : string;
+  r_models : model_row list;
+  r_positional : any_field option;  (* what a bare argument stands for *)
+  r_request : request codec;
+  r_reply : response codec;
+}
+
+let row ?cli ?(aliases = []) ?(public = true) ?(models = []) ?positional ~doc wire r_request
+    r_reply =
+  {
+    r_wire = wire;
+    r_cli = Option.value cli ~default:wire;
+    r_names = wire :: aliases;
+    r_public = public;
+    r_doc = doc;
+    r_models = models;
+    r_positional = positional;
+    r_request;
+    r_reply;
+  }
+
+let table =
+  [
+    row "load" ~doc:"load a saved instance into the registry" ~positional:(F path_f)
+      (desc
+         Fields.[ load_name_f; path_f ]
+         (fun Values.[ name; path ] -> Load { name; path })
+         (function Load { name; path } -> Some Values.[ name; path ] | _ -> None))
+      (answers instance_info_c (fun i -> Loaded i) (function Loaded i -> Some i | _ -> None));
+    row "sample" ~aliases:[ "gen" ] ~models
+      ~doc:"sample an instance (sample <girg|hrg|kleinberg> ...) and register it"
+      {
+        flags = [ F sample_name_f; F seed_f ];
+        enc =
+          (function
+          | Sample { name; model; seed } ->
+              Some
+                (((sample_name_f @= Some name) :: model_bindings model)
+                @ [ seed_f @= seed ])
+          | _ -> None);
+        dec = read_sample;
+      }
+      (answers instance_info_c (fun i -> Sampled i) (function Sampled i -> Some i | _ -> None));
+    row "route" ~doc:"route one message and return the walk summary" ~positional:(F instance_f)
+      (desc
+         Fields.[ instance_f; source_f; target_f; protocol_f; max_steps_f ]
+         (fun Values.[ instance; source; target; protocol; max_steps ] ->
+           Route { instance; source; target; protocol; max_steps })
+         (function
+           | Route { instance; source; target; protocol; max_steps } ->
+               Some Values.[ instance; source; target; protocol; max_steps ]
+           | _ -> None))
+      (answers route_c (fun r -> Routed r) (function Routed r -> Some r | _ -> None));
+    row "route_batch" ~cli:"route-batch" ~aliases:[ "route-batch" ]
+      ~doc:"route a batch of pairs (explicit or sampled) in one request"
+      ~positional:(F instance_f)
+      {
+        flags = (F instance_f :: pairs_c.flags) @ [ F protocol_f; F max_steps_f ];
+        enc =
+          (function
+          | Route_batch { instance; pairs; protocol; max_steps } ->
+              Some
+                (((instance_f @= instance) :: bindings pairs_c pairs)
+                @ [ protocol_f @= protocol; max_steps_f @= max_steps ])
+          | _ -> None);
+        dec =
+          (fun src ->
+            let* instance = get src instance_f in
+            let* pairs = pairs_c.dec src in
+            let* protocol = get src protocol_f in
+            let* max_steps = get src max_steps_f in
+            Ok (Route_batch { instance; pairs; protocol; max_steps }));
+      }
+      (desc
+         Fields.[ fld (objects "routes" route_c) "routes" ]
+         (fun Values.[ rs ] -> Routed_batch rs)
+         (function Routed_batch rs -> Some Values.[ rs ] | _ -> None));
+    row "stats" ~doc:"structural statistics of an instance" ~positional:(F instance_f)
+      (desc
+         Fields.[ instance_f ]
+         (fun Values.[ instance ] -> Stats { instance })
+         (function Stats { instance } -> Some Values.[ instance ] | _ -> None))
+      (desc
+         Fields.[ o_params; o_vertices; o_edges; fld float_t "avg_degree";
+                  fld int_t "max_degree"; fld int_t "components"; fld int_t "giant" ]
+         (fun Values.[ params; vertices; edges; avg_degree; max_degree; components; giant ]
+         -> Stats_reply { params; vertices; edges; avg_degree; max_degree; components; giant })
+         (function
+           | Stats_reply s ->
+               Some Values.[ s.params; s.vertices; s.edges; s.avg_degree; s.max_degree;
+                             s.components; s.giant ]
+           | _ -> None));
+    row "gen_shard" ~cli:"sample" ~aliases:[ "gen-shard" ] ~public:false
+      ~doc:"sample one shard of a GIRG's deterministic edge enumeration and spill it"
+      {
+        flags = [];
+        enc =
+          (function
+          | Gen_shard { params; seed; shards; shard; out } ->
+              Some
+                (model_bindings (Girg params)
+                @ [
+                    seed_f @= seed;
+                    shards_f @= shards;
+                    shard_f @= shard;
+                    spill_out_f @= Some out;
+                  ])
+          | _ -> None);
+        dec = read_gen_shard;
+      }
+      (desc
+         Fields.[ o_path; fld int_t "shard"; fld int_t "shards"; o_vertices; o_edges ]
+         (fun Values.[ sp_path; sp_shard; sp_shards; sp_vertices; sp_edges ] ->
+           Spilled { sp_path; sp_shard; sp_shards; sp_vertices; sp_edges })
+         (function
+           | Spilled s ->
+               Some Values.[ s.sp_path; s.sp_shard; s.sp_shards; s.sp_vertices; s.sp_edges ]
+           | _ -> None));
+    row "merge_shards" ~cli:"merge-shards" ~aliases:[ "merge-shards" ]
+      ~doc:"merge per-shard spill files into one instance and register it"
+      ~positional:(F spills_f)
+      (desc
+         Fields.[ merge_name_f; spills_f ]
+         (fun Values.[ name; spills ] -> Merge_shards { name; spills })
+         (function
+           | Merge_shards { name; spills } -> Some Values.[ name; spills ] | _ -> None))
+      (answers instance_info_c (fun i -> Merged i) (function Merged i -> Some i | _ -> None));
+    row "snapshot" ~doc:"re-encode a saved instance as a v2 binary (mmap-ready) snapshot"
+      ~positional:(F instance_f)
+      (desc
+         Fields.[ instance_f; out_f ]
+         (fun Values.[ instance; out ] -> Snapshot { instance; out })
+         (function
+           | Snapshot { instance; out } -> Some Values.[ instance; out ] | _ -> None))
+      (desc
+         Fields.[ o_path; fld int_t "bytes"; o_vertices; o_edges ]
+         (fun Values.[ sn_path; sn_bytes; sn_vertices; sn_edges ] ->
+           Snapshotted { sn_path; sn_bytes; sn_vertices; sn_edges })
+         (function
+           | Snapshotted s -> Some Values.[ s.sn_path; s.sn_bytes; s.sn_vertices; s.sn_edges ]
+           | _ -> None));
+    row "mutate"
+      ~doc:"apply a live-mutation script (leave/rejoin/drop/resample) as one new graph epoch"
+      ~positional:(F instance_f)
+      (desc
+         Fields.[ instance_f; ops_f; mutate_seed_f ]
+         (fun Values.[ instance; ops; seed ] -> Mutate { instance; ops; seed })
+         (function
+           | Mutate { instance; ops; seed } -> Some Values.[ instance; ops; seed ]
+           | _ -> None))
+      (desc
+         Fields.[ o_name; fld int_t "epoch"; o_generation; fld int_t "live"; o_vertices;
+                  o_edges; fld int_t "applied" ]
+         (fun Values.[ mu_name; mu_epoch; mu_generation; mu_live; mu_vertices; mu_edges;
+                       mu_applied ] ->
+           Mutated
+             { mu_name; mu_epoch; mu_generation; mu_live; mu_vertices; mu_edges; mu_applied })
+         (function
+           | Mutated m ->
+               Some Values.[ m.mu_name; m.mu_epoch; m.mu_generation; m.mu_live;
+                             m.mu_vertices; m.mu_edges; m.mu_applied ]
+           | _ -> None));
+    row "churn"
+      ~doc:"run a churn scenario (mutate, re-route, repeat) and report per-epoch delivery"
+      ~positional:(F instance_f)
+      (desc
+         Fields.[ instance_f; scenario_f; epochs_f; events_f; quit_f; churn_seed_f;
+                  churn_count_f; pair_seed_f; protocol_f; max_steps_f ]
+         (fun Values.[ instance; scenario; epochs; events; quit; seed; count; pair_seed;
+                       protocol; max_steps ] ->
+           let config =
+             { Experiments.Churn.scenario; epochs; events; quit; seed; count; pair_seed;
+               protocol; max_steps }
+           in
+           Churn { instance; config })
+         (function
+           | Churn { instance; config = c } ->
+               Some Values.[ instance; c.scenario; c.epochs; c.events; c.quit; c.seed;
+                             c.count; c.pair_seed; c.protocol; c.max_steps ]
+           | _ -> None))
+      (desc
+         Fields.[ o_name; fld scenario_t "scenario"; o_generation;
+                  fld (objects "epochs" churn_row_c) "epochs" ]
+         (fun Values.[ ch_name; ch_scenario; ch_generation; ch_rows ] ->
+           Churned { ch_name; ch_scenario; ch_generation; ch_rows })
+         (function
+           | Churned c ->
+               Some Values.[ c.ch_name; c.ch_scenario; c.ch_generation; c.ch_rows ]
+           | _ -> None));
+    row "health" ~doc:"server liveness, counters, registry contents" (nullary Health)
+      (desc
+         Fields.[ o_draining; fld (list_t "names" "a list of names" string_t) "instances";
+                  o_counters ]
+         (fun Values.[ draining; instances; counters ] ->
+           Health_reply { draining; instances; counters })
+         (function
+           | Health_reply h -> Some Values.[ h.draining; h.instances; h.counters ]
+           | _ -> None));
+    row "stats-server" ~aliases:[ "server-stats" ]
+      ~doc:
+        "live telemetry snapshot: counters, gauges, per-stage latency quantiles, Prometheus \
+         text dump"
+      (nullary Server_stats)
+      (desc
+         Fields.[ fld float_t "uptime_s"; o_draining; fld bool_t "obs_live"; o_counters;
+                  fld (map_t float_t) "gauges"; fld (objects "stages" stage_c) "stages";
+                  fld string_t "prometheus" ]
+         (fun Values.[ uptime_s; s_draining; obs_live; s_counters; gauges; stages;
+                       prometheus ] ->
+           Server_stats_reply
+             { uptime_s; s_draining; obs_live; s_counters; gauges; stages; prometheus })
+         (function
+           | Server_stats_reply s ->
+               Some Values.[ s.uptime_s; s.s_draining; s.obs_live; s.s_counters; s.gauges;
+                             s.stages; s.prometheus ]
+           | _ -> None));
+    row "drain" ~doc:"stop accepting work, finish in-flight requests, exit" (nullary Drain)
+      (desc
+         Fields.[ o_draining ]
+         (fun Values.[ _ ] -> Drain_ack)
+         (function Drain_ack -> Some Values.[ true ] | _ -> None));
+  ]
+
+(* The row whose codec covers [v], with [v]'s bindings. *)
+let find_row codec v =
+  let rec go = function
+    | [] -> invalid_arg "Api.V1: value without an op row"
+    | r :: rest -> ( match (codec r).enc v with Some bs -> (r, bs) | None -> go rest)
+  in
+  go table
+
+(* The daemon asks each request's op and instance several times; one slot
+   per domain makes that one walk of the table (and its allocation). *)
+let last_request = Domain.DLS.new_key (fun () -> None)
+
+let request_row r =
+  match Domain.DLS.get last_request with
+  | Some (r', found) when r' == r -> found
+  | _ ->
+      let found = find_row (fun row -> row.r_request) r in
+      Domain.DLS.set last_request (Some (r, found));
+      found
+
+let op_names = List.map (fun r -> r.r_wire) table
+let op_of_request r = (fst (request_row r)).r_wire
+
+(* The registry name a request touches is its "instance" or "name". *)
+let instance_of_request r =
+  List.find_map
+    (fun (B (f, v)) ->
+      match (f.key, f.ty.to_json v) with
+      | ("instance" | "name"), J.Str s -> Some s
+      | _ -> None)
+    (snd (request_row r))
 
 let op_of_response = function
-  | Loaded _ -> "load"
-  | Sampled _ -> "sample"
-  | Routed _ -> "route"
-  | Routed_batch _ -> "route_batch"
-  | Stats_reply _ -> "stats"
-  | Spilled _ -> "gen_shard"
-  | Merged _ -> "merge_shards"
-  | Snapshotted _ -> "snapshot"
-  | Mutated _ -> "mutate"
-  | Churned _ -> "churn"
-  | Health_reply _ -> "health"
-  | Server_stats_reply _ -> "stats-server"
-  | Drain_ack -> "drain"
   | Failed _ -> "error"
+  | resp -> (fst (find_row (fun row -> row.r_reply) resp)).r_wire
+
+(* ------------------------------------------------------------------ *)
+(* Envelope codecs                                                     *)
+
+let envelope_flags = [ F id_f; F deadline_f ] @ trace_c.flags
+let envelope_bindings e = [ id_f @= e.id; deadline_f @= e.deadline_ms ]
+
+let read_envelope src row =
+  let* id = get src id_f in
+  let* deadline_ms = get src deadline_f in
+  let trace_src =
+    match src with
+    | Json (what, j) -> Option.map (fun t -> Json (what ^ " trace", t)) (J.member "trace" j)
+    | Argv _ -> if has src trace_id_f || has src trace_span_f then Some src else None
+  in
+  let* trace =
+    match trace_src with None -> Ok None | Some s -> Result.map Option.some (trace_c.dec s)
+  in
+  let* request = row.r_request.dec src in
+  Ok { id; deadline_ms; trace; request }
+
+let envelope_to_json e =
+  let row, fields = request_row e.request in
+  J.Obj
+    ([ ("v", J.Int version); ("op", J.Str row.r_wire) ]
+    @ json_fields (envelope_bindings e)
+    @ (match e.trace with
+      | Some t -> [ ("trace", J.Obj (json_fields (bindings trace_c t))) ]
+      | None -> [])
+    @ json_fields fields)
+
+let envelope_of_json j =
+  let* () =
+    match J.member "v" j with
+    | Some (J.Int v) when v = version -> Ok ()
+    | Some (J.Int v) ->
+        Error
+          (Error.make Error.Unsupported_version
+             "unsupported API version %d (this server speaks v%d only)" v version)
+    | Some _ -> err_bad "field \"v\" must be an integer"
+    | None -> err_bad "request is missing field \"v\" (API version, currently %d)" version
+  in
+  let* op = get (Json ("request", j)) o_op in
+  match List.find_opt (fun r -> List.mem op r.r_names) table with
+  | Some row -> read_envelope (Json (op ^ " request", j)) row
+  | None -> err_bad "unknown op %S (%s)" op (String.concat " | " op_names)
+
+let envelope_of_line line =
+  match J.json_of_string line with
+  | Error m -> err_bad "unparseable request line: %s" m
+  | Ok j -> envelope_of_json j
+
+let request_line e = J.json_to_string (envelope_to_json e)
 
 let reply_to_json r =
-  let id = match r.reply_id with Some i -> [ ("id", J.Int i) ] | None -> [] in
+  let head = ("v", J.Int version) :: json_fields [ id_f @= r.reply_id ] in
   match r.response with
-  | Failed e ->
-      J.Obj ([ ("v", J.Int version) ] @ id @ [ ("ok", J.Bool false); ("error", Error.to_json e) ])
+  | Failed e -> J.Obj (head @ [ ("ok", J.Bool false); ("error", Error.to_json e) ])
   | resp ->
+      let row, fields = find_row (fun row -> row.r_reply) resp in
       J.Obj
-        ([ ("v", J.Int version) ] @ id
+        (head
         @ [
             ("ok", J.Bool true);
-            ("op", J.Str (op_of_response resp));
-            ("result", result_to_json resp);
+            ("op", J.Str row.r_wire);
+            ("result", J.Obj (json_fields fields));
           ])
 
-let route_reply_of_json ~what j =
-  let* source = req_field ~what "source" jint j in
-  let* target = req_field ~what "target" jint j in
-  let* status_s = req_field ~what "status" jstr j in
-  let* status =
-    match status_of_string status_s with
-    | Some s -> Ok s
-    | None -> err_bad "unknown route status %S" status_s
-  in
-  let* steps = req_field ~what "steps" jint j in
-  let* visited = req_field ~what "visited" jint j in
-  let* shortest =
-    match J.member "shortest" j with
-    | Some J.Null | None -> Ok None
-    | Some v -> (
-        match jint v with
-        | Some d -> Ok (Some d)
-        | None -> err_bad "field \"shortest\" has the wrong type")
-  in
-  let* text = req_field ~what "text" jstr j in
-  Ok { source; target; status; steps; visited; shortest; text }
-
-let instance_info_of_json ~what j =
-  let* name = req_field ~what "name" jstr j in
-  let* params = req_field ~what "params" jstr j in
-  let* vertices = req_field ~what "vertices" jint j in
-  let* edges = req_field ~what "edges" jint j in
-  Ok ({ name; params; vertices; edges } : instance_info)
-
 let reply_of_json j =
-  let* id = opt_field ~what:"reply" "id" jint j in
-  let* ok = req_field ~what:"reply" "ok" jbool j in
+  let src = Json ("reply", j) in
+  let* reply_id = get src id_f in
+  let* ok = get src o_ok in
   if not ok then
     match J.member "error" j with
     | Some e -> (
         match Error.of_json e with
-        | Ok e -> Ok { reply_id = id; response = Failed e }
+        | Ok e -> Ok { reply_id; response = Failed e }
         | Error m -> err_bad "bad error object in reply: %s" m)
     | None -> err_bad "failed reply is missing field \"error\""
   else
-    let* op = req_field ~what:"reply" "op" jstr j in
-    let* result =
-      match J.member "result" j with
-      | Some r -> Ok r
-      | None -> err_bad "ok reply is missing field \"result\""
-    in
-    let what = "reply:" ^ op in
-    let* response =
-      match op with
-      | "load" ->
-          let* i = instance_info_of_json ~what result in
-          Ok (Loaded i)
-      | "sample" ->
-          let* i = instance_info_of_json ~what result in
-          Ok (Sampled i)
-      | "gen_shard" ->
-          let* sp_path = req_field ~what "path" jstr result in
-          let* sp_shard = req_field ~what "shard" jint result in
-          let* sp_shards = req_field ~what "shards" jint result in
-          let* sp_vertices = req_field ~what "vertices" jint result in
-          let* sp_edges = req_field ~what "edges" jint result in
-          Ok (Spilled { sp_path; sp_shard; sp_shards; sp_vertices; sp_edges })
-      | "merge_shards" ->
-          let* i = instance_info_of_json ~what result in
-          Ok (Merged i)
-      | "snapshot" ->
-          let* sn_path = req_field ~what "path" jstr result in
-          let* sn_bytes = req_field ~what "bytes" jint result in
-          let* sn_vertices = req_field ~what "vertices" jint result in
-          let* sn_edges = req_field ~what "edges" jint result in
-          Ok (Snapshotted { sn_path; sn_bytes; sn_vertices; sn_edges })
-      | "mutate" ->
-          let* mu_name = req_field ~what "name" jstr result in
-          let* mu_epoch = req_field ~what "epoch" jint result in
-          let* mu_generation = req_field ~what "generation" jint result in
-          let* mu_live = req_field ~what "live" jint result in
-          let* mu_vertices = req_field ~what "vertices" jint result in
-          let* mu_edges = req_field ~what "edges" jint result in
-          let* mu_applied = req_field ~what "applied" jint result in
-          Ok
-            (Mutated
-               { mu_name; mu_epoch; mu_generation; mu_live; mu_vertices; mu_edges; mu_applied })
-      | "churn" ->
-          let* ch_name = req_field ~what "name" jstr result in
-          let* scenario_s = req_field ~what "scenario" jstr result in
-          let* ch_scenario =
-            match Experiments.Churn.scenario_of_string scenario_s with
-            | Ok s -> Ok s
-            | Error m -> err_bad "%s" m
-          in
-          let* ch_generation = req_field ~what "generation" jint result in
-          (* Means over zero delivered runs serialise as null (nan). *)
-          let row_of_json j =
-            let nullable_float name =
-              match J.member name j with
-              | Some J.Null | None -> Ok nan
-              | Some v -> (
-                  match jfloat v with
-                  | Some f -> Ok f
-                  | None -> err_bad "churn field %S must be a number or null" name)
-            in
-            let* epoch = req_field ~what "epoch" jint j in
-            let* live = req_field ~what "live" jint j in
-            let* edges = req_field ~what "edges" jint j in
-            let* attempted = req_field ~what "attempted" jint j in
-            let* delivered = req_field ~what "delivered" jint j in
-            let* mean_steps = nullable_float "mean_steps" in
-            let* mean_stretch = nullable_float "mean_stretch" in
-            Ok
-              ({ epoch; live; edges; attempted; delivered; mean_steps; mean_stretch }
-                : Experiments.Churn.epoch_row)
-          in
-          let* ch_rows =
-            match J.member "epochs" result with
-            | Some (J.Arr items) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | r :: rest ->
-                      let* r = row_of_json r in
-                      go (r :: acc) rest
-                in
-                go [] items
-            | _ -> err_bad "churn reply is missing array field \"epochs\""
-          in
-          Ok (Churned { ch_name; ch_scenario; ch_generation; ch_rows })
-      | "route" ->
-          let* r = route_reply_of_json ~what result in
-          Ok (Routed r)
-      | "route_batch" -> (
-          match J.member "routes" result with
-          | Some (J.Arr items) ->
-              let rec go acc = function
-                | [] -> Ok (Routed_batch (List.rev acc))
-                | r :: rest ->
-                    let* r = route_reply_of_json ~what r in
-                    go (r :: acc) rest
-              in
-              go [] items
-          | _ -> err_bad "route_batch reply is missing array field \"routes\"")
-      | "stats" ->
-          let* params = req_field ~what "params" jstr result in
-          let* vertices = req_field ~what "vertices" jint result in
-          let* edges = req_field ~what "edges" jint result in
-          let* avg_degree = req_field ~what "avg_degree" jfloat result in
-          let* max_degree = req_field ~what "max_degree" jint result in
-          let* components = req_field ~what "components" jint result in
-          let* giant = req_field ~what "giant" jint result in
-          Ok
-            (Stats_reply
-               { params; vertices; edges; avg_degree; max_degree; components; giant })
-      | "health" ->
-          let* draining = req_field ~what "draining" jbool result in
-          let* instances =
-            match J.member "instances" result with
-            | Some (J.Arr items) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | J.Str s :: rest -> go (s :: acc) rest
-                  | _ -> err_bad "health \"instances\" must be strings"
-                in
-                go [] items
-            | _ -> err_bad "health reply is missing array field \"instances\""
-          in
-          let* counters =
-            match J.member "counters" result with
-            | Some (J.Obj fields) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | (k, J.Int v) :: rest -> go ((k, v) :: acc) rest
-                  | (k, _) :: _ -> err_bad "health counter %S must be an int" k
-                in
-                go [] fields
-            | _ -> err_bad "health reply is missing object field \"counters\""
-          in
-          Ok (Health_reply { draining; instances; counters })
-      | "stats-server" ->
-          let* uptime_s = req_field ~what "uptime_s" jfloat result in
-          let* s_draining = req_field ~what "draining" jbool result in
-          let* obs_live = req_field ~what "obs_live" jbool result in
-          let int_map name =
-            match J.member name result with
-            | Some (J.Obj fields) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | (k, J.Int v) :: rest -> go ((k, v) :: acc) rest
-                  | (k, _) :: _ -> err_bad "stats-server %s %S must be an int" name k
-                in
-                go [] fields
-            | _ -> err_bad "stats-server reply is missing object field %S" name
-          in
-          let float_map name =
-            match J.member name result with
-            | Some (J.Obj fields) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | (k, v) :: rest -> (
-                      match jfloat v with
-                      | Some f -> go ((k, f) :: acc) rest
-                      | None -> err_bad "stats-server %s %S must be a number" name k)
-                in
-                go [] fields
-            | _ -> err_bad "stats-server reply is missing object field %S" name
-          in
-          let* s_counters = int_map "counters" in
-          let* gauges = float_map "gauges" in
-          let stage_of_json j =
-            let* stage = req_field ~what "stage" jstr j in
-            let* s_count = req_field ~what "count" jint j in
-            let* p50 = req_field ~what "p50" jfloat j in
-            let* p90 = req_field ~what "p90" jfloat j in
-            let* p99 = req_field ~what "p99" jfloat j in
-            let* p999 = req_field ~what "p999" jfloat j in
-            let* s_max = req_field ~what "max" jfloat j in
-            Ok { stage; s_count; p50; p90; p99; p999; s_max }
-          in
-          let* stages =
-            match J.member "stages" result with
-            | Some (J.Arr items) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | st :: rest ->
-                      let* st = stage_of_json st in
-                      go (st :: acc) rest
-                in
-                go [] items
-            | _ -> err_bad "stats-server reply is missing array field \"stages\""
-          in
-          let* prometheus = req_field ~what "prometheus" jstr result in
-          Ok
-            (Server_stats_reply
-               { uptime_s; s_draining; obs_live; s_counters; gauges; stages; prometheus })
-      | "drain" -> Ok Drain_ack
-      | other -> err_bad "unknown reply op %S" other
-    in
-    Ok { reply_id = id; response }
+    let* op = get src o_op in
+    match (List.find_opt (fun r -> r.r_wire = op) table, J.member "result" j) with
+    | None, _ -> err_bad "unknown reply op %S" op
+    | _, None -> err_bad "ok reply is missing field \"result\""
+    | Some row, Some result ->
+        let* response = row.r_reply.dec (Json (op ^ " reply", result)) in
+        Ok { reply_id; response }
 
 let reply_of_line line =
   match J.json_of_string line with
@@ -793,183 +1233,7 @@ let reply_line r = J.json_to_string (reply_to_json r)
 (* ------------------------------------------------------------------ *)
 (* Argument-list codec                                                 *)
 
-type exec_opts = {
-  output : string option;
-  obs_out : string option;
-  events_out : string option;
-  trace_out : string option;
-  jobs : int option;
-}
-
-let no_exec =
-  { output = None; obs_out = None; events_out = None; trace_out = None; jobs = None }
-
-(* Flag tables.  [aliases] are the deprecation shims: pre-v1 spellings
-   that keep parsing but are never printed; the canonical flag is the
-   only spelling [to_args], the schema and error messages use. *)
-
-type fspec = {
-  flag : string;
-  als : string list;
-  ftyp : string;  (* int | float | string | flag | ... for the schema *)
-  freq : bool;
-  fdefault : string option;
-  fdoc : string;
-}
-
-let fld ?(als = []) ?(freq = false) ?fdefault ~ftyp ~fdoc flag =
-  { flag; als; ftyp; freq; fdefault; fdoc }
-
-let envelope_flags =
-  [
-    fld "--id" ~ftyp:"int" ~fdoc:"request id, echoed in the reply";
-    fld "--deadline-ms" ~ftyp:"int"
-      ~fdoc:"deadline in milliseconds from request receipt; expiry returns the \
-             'deadline' error";
-    fld "--trace-id" ~ftyp:"string"
-      ~fdoc:"distributed-trace id: the server's smallworld.trace.v1 record joins \
-             the trace of this id";
-    fld "--trace-parent" ~ftyp:"int" ~fdefault:"0"
-      ~fdoc:"span id (within --trace-id) the server's spans hang under";
-  ]
-
-let exec_flags =
-  [
-    fld "--output" ~als:[ "-o" ] ~ftyp:"string"
-      ~fdoc:"CLI only: file the sampled instance is written to";
-    fld "--obs-out" ~ftyp:"string" ~fdoc:"CLI only: write a JSONL run manifest";
-    fld "--events-out" ~ftyp:"string"
-      ~fdoc:"CLI only (route): write flight-recorder events (smallworld.events.v1)";
-    fld "--trace-out" ~ftyp:"string"
-      ~fdoc:"CLI only (route, route-batch): write this run's span tree as a \
-             smallworld.trace.v1 record";
-    fld "--jobs" ~als:[ "-j" ] ~ftyp:"int"
-      ~fdoc:"worker domains (0 = all cores); overrides SMALLWORLD_JOBS";
-  ]
-
-let girg_flags =
-  [
-    fld "--n" ~als:[ "-n" ] ~ftyp:"int" ~fdefault:"10000" ~fdoc:"expected vertex count";
-    fld "--dim" ~ftyp:"int" ~fdefault:"2" ~fdoc:"torus dimension";
-    fld "--beta" ~ftyp:"float" ~fdefault:"2.5" ~fdoc:"power-law exponent in (2,3)";
-    fld "--w-min" ~ftyp:"float" ~fdefault:"1" ~fdoc:"minimum weight";
-    fld "--alpha" ~ftyp:"alpha" ~fdefault:"2" ~fdoc:"decay parameter (> 1) or 'inf'";
-    fld "--c" ~als:[ "-c" ] ~ftyp:"float" ~fdefault:"0.25" ~fdoc:"edge probability constant";
-    fld "--norm" ~ftyp:"norm" ~fdefault:"linf" ~fdoc:"torus norm: linf | l2 | l1";
-    fld "--fixed-count" ~ftyp:"flag" ~fdoc:"exactly n vertices instead of Poisson(n)";
-    fld "--shards" ~ftyp:"int" ~fdefault:"1"
-      ~fdoc:"split edge generation into this many deterministic shards (with --spill-out)";
-    fld "--shard" ~ftyp:"int" ~fdefault:"0" ~fdoc:"which shard to generate, in [0, --shards)";
-    fld "--spill-out" ~ftyp:"string"
-      ~fdoc:"write this shard's edges as a binary spill file instead of a full instance";
-  ]
-
-let hrg_flags =
-  [
-    fld "--n" ~als:[ "-n" ] ~ftyp:"int" ~fdefault:"10000" ~fdoc:"vertex count";
-    fld "--alpha-h" ~ftyp:"float" ~fdefault:"0.75" ~fdoc:"radial dispersion in (1/2, 1)";
-    fld "--radius-c" ~ftyp:"float" ~fdefault:"0" ~fdoc:"constant C in R = 2 ln n + C";
-    fld "--temperature" ~ftyp:"float" ~fdefault:"0" ~fdoc:"T in [0, 1)";
-  ]
-
-let kleinberg_flags =
-  [
-    fld "--side" ~ftyp:"int" ~freq:true ~fdoc:"lattice side (side^2 vertices)";
-    fld "--long-range" ~ftyp:"int" ~fdefault:"1" ~fdoc:"long-range contacts per vertex";
-    fld "--exponent" ~ftyp:"float" ~fdefault:"2" ~fdoc:"decay exponent of the contact distribution";
-  ]
-
-let sample_common_flags =
-  [
-    fld "--name" ~ftyp:"string" ~fdoc:"registry name (CLI default: the --output path)";
-    fld "--seed" ~ftyp:"int" ~fdefault:"42" ~fdoc:"random seed";
-  ]
-
-let route_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-    fld "--source" ~als:[ "-s" ] ~ftyp:"int" ~freq:true ~fdoc:"source vertex";
-    fld "--target" ~als:[ "-t" ] ~ftyp:"int" ~freq:true ~fdoc:"target vertex";
-    fld "--protocol" ~ftyp:"protocol" ~fdefault:"greedy"
-      ~fdoc:"greedy | phi-dfs | history | gravity-pressure";
-    fld "--max-steps" ~ftyp:"int" ~fdoc:"step budget (default: unlimited)";
-  ]
-
-let batch_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-    fld "--pairs" ~ftyp:"pairs" ~fdoc:"explicit pairs, e.g. 1:2,3:4 (excludes --count)";
-    fld "--count" ~ftyp:"int" ~fdoc:"number of sampled pairs (excludes --pairs)";
-    fld "--pair-seed" ~ftyp:"int" ~fdefault:"0" ~fdoc:"seed of the pair-sampling substream";
-    fld "--pool" ~ftyp:"pool" ~fdefault:"giant" ~fdoc:"pair pool: giant | any";
-    fld "--protocol" ~ftyp:"protocol" ~fdefault:"greedy"
-      ~fdoc:"greedy | phi-dfs | history | gravity-pressure";
-    fld "--max-steps" ~ftyp:"int" ~fdoc:"step budget (default: unlimited)";
-  ]
-
-let load_flags =
-  [
-    fld "--name" ~ftyp:"string" ~freq:true ~fdoc:"registry name for the loaded instance";
-    fld "--path" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance file (smallworld-girg format); also the positional argument";
-  ]
-
-let stats_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-  ]
-
-let merge_flags =
-  [
-    fld "--name" ~ftyp:"string" ~freq:true ~fdoc:"registry name for the merged instance";
-    fld "--spills" ~ftyp:"paths" ~freq:true
-      ~fdoc:"comma-separated spill files, one per shard index; also the positional \
-             argument";
-  ]
-
-let snapshot_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-    fld "--out" ~ftyp:"string" ~freq:true
-      ~fdoc:"where the v2 binary snapshot is written";
-  ]
-
-let mutate_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-    fld "--ops" ~ftyp:"mutations" ~freq:true
-      ~fdoc:"comma-separated mutations: leave:V | rejoin:V | drop:U:V | resample:V";
-    fld "--seed" ~ftyp:"int" ~fdefault:"42"
-      ~fdoc:"seed of the resample substreams (replay-deterministic per epoch)";
-  ]
-
-let churn_flags =
-  [
-    fld "--instance" ~ftyp:"string" ~freq:true
-      ~fdoc:"instance name (daemon) or file (CLI); also the positional argument";
-    fld "--scenario" ~ftyp:"scenario" ~fdefault:"uniform"
-      ~fdoc:"uniform | adversarial | milgram";
-    fld "--epochs" ~ftyp:"int" ~fdefault:"3" ~fdoc:"mutation rounds after the baseline";
-    fld "--events" ~ftyp:"int" ~fdefault:"16"
-      ~fdoc:"structural events per epoch (ignored by milgram)";
-    fld "--quit" ~ftyp:"float" ~fdefault:"0"
-      ~fdoc:"per-hop quit probability (Milgram attrition), 0 disables";
-    fld "--seed" ~ftyp:"int" ~fdefault:"42"
-      ~fdoc:"seed of churn planning, resampling and quit coins";
-    fld "--count" ~ftyp:"int" ~fdefault:"200" ~fdoc:"measurement pairs per epoch";
-    fld "--pair-seed" ~ftyp:"int" ~fdefault:"0" ~fdoc:"seed of the pair-sampling substream";
-    fld "--protocol" ~ftyp:"protocol" ~fdefault:"greedy"
-      ~fdoc:"greedy | phi-dfs | history | gravity-pressure";
-    fld "--max-steps" ~ftyp:"int" ~fdoc:"step budget (default: unlimited)";
-  ]
-
-let model_flag_table =
-  [ ("girg", girg_flags); ("hrg", hrg_flags); ("kleinberg", kleinberg_flags) ]
+let flag_of (F f) = f.flag
 
 (* Edit distance for the did-you-mean suggestion on unknown flags. *)
 let levenshtein a b =
@@ -986,17 +1250,11 @@ let levenshtein a b =
   prev.(lb)
 
 let suggest ~known flag =
-  let scored = List.map (fun f -> (levenshtein flag f.flag, f.flag)) known in
+  let scored = List.map (fun f -> (levenshtein flag (flag_of f), flag_of f)) known in
   match List.sort compare scored with
   | (d, best) :: _ when d <= max 2 (String.length flag / 3) ->
       Printf.sprintf " (did you mean %S?)" best
   | _ -> ""
-
-let lookup_flag ~op known tok =
-  match List.find_opt (fun f -> f.flag = tok || List.mem tok f.als) known with
-  | Some f -> Ok f
-  | None ->
-      err_bad "unknown flag %S for %s%s" tok op (suggest ~known tok)
 
 (* Scan tokens into (canonical flag -> raw value) plus positionals. *)
 let scan ~op ~known tokens =
@@ -1004,888 +1262,24 @@ let scan ~op ~known tokens =
   let positionals = ref [] in
   let rec go = function
     | [] -> Ok ()
-    | tok :: rest when String.length tok > 1 && tok.[0] = '-' ->
-        let* f = lookup_flag ~op known tok in
-        if f.ftyp = "flag" then begin
-          Hashtbl.replace seen f.flag "true";
-          go rest
-        end
-        else begin
-          match rest with
-          | v :: rest ->
-              Hashtbl.replace seen f.flag v;
-              go rest
-          | [] -> err_bad "flag %s expects a value" f.flag
-        end
+    | tok :: rest when String.length tok > 1 && tok.[0] = '-' -> (
+        match List.find_opt (fun (F f) -> f.flag = tok || List.mem tok f.als) known with
+        | None -> err_bad "unknown flag %S for %s%s" tok op (suggest ~known tok)
+        | Some (F f) when f.ty.tname = "flag" ->
+            Hashtbl.replace seen f.flag "true";
+            go rest
+        | Some (F f) -> (
+            match rest with
+            | v :: rest ->
+                Hashtbl.replace seen f.flag v;
+                go rest
+            | [] -> err_bad "flag %s expects a value" f.flag))
     | tok :: rest ->
         positionals := tok :: !positionals;
         go rest
   in
   let* () = go tokens in
   Ok (seen, List.rev !positionals)
-
-let get seen flag = Hashtbl.find_opt seen flag
-
-let get_int ~op seen flag ~default =
-  match get seen flag with
-  | None -> Ok default
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> err_bad "flag %s of %s expects an integer, got %S" flag op v)
-
-let req_int ~op seen flag =
-  match get seen flag with
-  | None -> err_bad "%s requires %s" op flag
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> err_bad "flag %s of %s expects an integer, got %S" flag op v)
-
-let opt_int ~op seen flag =
-  match get seen flag with
-  | None -> Ok None
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok (Some i)
-      | None -> err_bad "flag %s of %s expects an integer, got %S" flag op v)
-
-let get_float ~op seen flag ~default =
-  match get seen flag with
-  | None -> Ok default
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> err_bad "flag %s of %s expects a float, got %S" flag op v)
-
-let parse_pairs ~op s =
-  let parts = String.split_on_char ',' s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match String.index_opt part ':' with
-        | Some i -> (
-            let a = String.sub part 0 i
-            and b = String.sub part (i + 1) (String.length part - i - 1) in
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some s, Some t -> go ((s, t) :: acc) rest
-            | _ -> err_bad "bad pair %S in --pairs of %s (want source:target)" part op)
-        | None -> err_bad "bad pair %S in --pairs of %s (want source:target)" part op)
-  in
-  go [] parts
-
-let exec_of_seen ~op seen =
-  let* jobs =
-    match get seen "--jobs" with
-    | None -> Ok None
-    | Some v ->
-        let* j = parse_jobs v in
-        Ok (Some j)
-  in
-  ignore op;
-  Ok
-    {
-      output = get seen "--output";
-      obs_out = get seen "--obs-out";
-      events_out = get seen "--events-out";
-      trace_out = get seen "--trace-out";
-      jobs;
-    }
-
-let protocol_of_seen ~op seen =
-  match get seen "--protocol" with
-  | None -> Ok Greedy_routing.Protocol.Greedy
-  | Some v ->
-      let _ = op in
-      protocol_of_string v
-
-(* ------------------------------------------------------------------ *)
-(* The op table                                                        *)
-
-(* Argument-list fragments shared by the printers. *)
-let fl flag v = [ flag; v ]
-let opt_fl flag v = match v with Some v -> [ flag; v ] | None -> []
-
-let girg_model_args (p : Girg.Params.t) =
-  fl "--n" (string_of_int p.Girg.Params.n)
-  @ fl "--dim" (string_of_int p.dim)
-  @ fl "--beta" (float_arg p.beta)
-  @ fl "--w-min" (float_arg p.w_min)
-  @ fl "--alpha"
-      (match p.alpha with
-      | Girg.Params.Infinite -> "inf"
-      | Girg.Params.Finite a -> float_arg a)
-  @ fl "--c" (float_arg p.c)
-  @ fl "--norm" (Girg.Params.norm_to_string p.norm)
-  @ if p.poisson_count then [] else [ "--fixed-count" ]
-
-(* What an op's argv parser sees: the scanned flags, the already-parsed
-   exec options (sample's default name is the --output path), and the
-   model token sample consumed before its flags. *)
-type argctx = {
-  ax_op : string;
-  ax_seen : (string, string) Hashtbl.t;
-  ax_exec : exec_opts;
-  ax_model : string option;
-}
-
-(* One row per operation.  Every accepted spelling, the flag table, and
-   all four codec directions live here, so the JSON parser, the argv
-   parser, the printers, the schema dump, the daemon's op inventory and
-   the did-you-mean suggestions are all read off the same table and
-   cannot drift apart.  [r_public = false] hides an op from the CLI and
-   the schema (gen_shard rides under [sample ... --spill-out]) while
-   keeping it a first-class wire op. *)
-type row = {
-  r_wire : string;  (* canonical wire spelling (spans, logs, metrics) *)
-  r_cli : string;  (* canonical CLI token *)
-  r_names : string list;  (* every accepted spelling, wire and CLI *)
-  r_public : bool;
-  r_doc : string;
-  r_flags : fspec list;
-  r_positional : string option;  (* canonical flag a bare argument maps to *)
-  r_instance : request -> string option;
-  r_fields : request -> (string * J.json) list;
-  r_of_json : what:string -> J.json -> (request, Error.t) result;
-  r_of_seen : argctx -> (request, Error.t) result;
-  r_to_args : request -> string list;  (* op tokens + flags, no envelope tail *)
-}
-
-let req_instance ~op seen =
-  match get seen "--instance" with
-  | Some i -> Ok i
-  | None -> err_bad "%s requires --instance (or a positional file)" op
-
-let scenario_of_string_err s =
-  match Experiments.Churn.scenario_of_string s with
-  | Ok s -> Ok s
-  | Error m -> err_bad "%s" m
-
-let mutation_ops_of_string s =
-  match
-    Girg.Mutate.ops_of_strings (List.filter (fun p -> p <> "") (String.split_on_char ',' s))
-  with
-  | Ok [] -> err_bad "--ops needs at least one mutation"
-  | Ok ops -> Ok ops
-  | Error m -> err_bad "%s" m
-
-let table =
-  [
-    {
-      r_wire = "load";
-      r_cli = "load";
-      r_names = [ "load" ];
-      r_public = true;
-      r_doc = "load a saved instance into the registry";
-      r_flags = load_flags;
-      r_positional = Some "--path";
-      r_instance = (function Load { name; _ } -> Some name | _ -> None);
-      r_fields =
-        (function
-        | Load { name; path } -> [ ("name", J.Str name); ("path", J.Str path) ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* name = req_field ~what "name" jstr j in
-          let* path = req_field ~what "path" jstr j in
-          Ok (Load { name; path }));
-      r_of_seen =
-        (fun cx ->
-          match (get cx.ax_seen "--name", get cx.ax_seen "--path") with
-          | Some name, Some path -> Ok (Load { name; path })
-          | None, _ -> err_bad "load requires --name"
-          | _, None -> err_bad "load requires --path (or a positional file)");
-      r_to_args =
-        (function
-        | Load { name; path } -> ("load" :: fl "--name" name) @ fl "--path" path
-        | _ -> []);
-    };
-    {
-      r_wire = "sample";
-      r_cli = "sample";
-      r_names = [ "sample"; "gen" ];
-      r_public = true;
-      r_doc = "sample an instance (sample <girg|hrg|kleinberg> ...) and register it";
-      r_flags = sample_common_flags;  (* model flags are listed per model in the schema *)
-      r_positional = None;
-      r_instance = (function Sample { name; _ } -> Some name | _ -> None);
-      r_fields =
-        (function
-        | Sample { name; model; seed } ->
-            (("name", J.Str name) :: model_fields model) @ [ ("seed", J.Int seed) ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* name = req_field ~what "name" jstr j in
-          let* model = model_of_json ~what j in
-          let* seed = opt_field ~what "seed" jint j in
-          Ok (Sample { name; model; seed = Option.value seed ~default:42 }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* seed = get_int ~op seen "--seed" ~default:42 in
-          (* Spill-mode girg generation needs no registry name, so the
-             name requirement is resolved lazily per branch. *)
-          let name_res =
-            match (get seen "--name", cx.ax_exec.output) with
-            | Some n, _ -> Ok n
-            | None, Some out -> Ok out
-            | None, None ->
-                err_bad "sample requires --name (or --output, whose path names the instance)"
-          in
-          match cx.ax_model with
-          | Some "girg" ->
-              let dflt = Girg.Params.default in
-              let* n = get_int ~op seen "--n" ~default:10_000 in
-              let* dim = get_int ~op seen "--dim" ~default:2 in
-              let* beta = get_float ~op seen "--beta" ~default:2.5 in
-              let* w_min = get_float ~op seen "--w-min" ~default:1.0 in
-              let* alpha =
-                match get seen "--alpha" with
-                | None -> Ok (Girg.Params.Finite 2.0)
-                | Some v -> alpha_of_string v
-              in
-              let* c = get_float ~op seen "--c" ~default:0.25 in
-              let* norm =
-                match get seen "--norm" with
-                | None -> Ok dflt.Girg.Params.norm
-                | Some v -> (
-                    match Girg.Params.norm_of_string v with
-                    | Some n -> Ok n
-                    | None -> err_bad "bad --norm %S (linf | l2 | l1)" v)
-              in
-              let poisson_count = not (Hashtbl.mem seen "--fixed-count") in
-              let* p =
-                validate_girg ~what:"sample"
-                  { Girg.Params.n; dim; beta; w_min; alpha; c; norm; poisson_count }
-              in
-              (match get seen "--spill-out" with
-              | Some out ->
-                  let* shards = get_int ~op seen "--shards" ~default:1 in
-                  let* shard = get_int ~op seen "--shard" ~default:0 in
-                  let* () = check_shard_range ~what:op ~shards ~shard in
-                  Ok (Gen_shard { params = p; seed; shards; shard; out })
-              | None ->
-                  if Hashtbl.mem seen "--shards" || Hashtbl.mem seen "--shard" then
-                    err_bad "sharded generation writes a spill file: add --spill-out FILE"
-                  else
-                    let* name = name_res in
-                    Ok (Sample { name; model = Girg p; seed }))
-          | Some "hrg" ->
-              let* name = name_res in
-              let* n = get_int ~op seen "--n" ~default:10_000 in
-              let* alpha_h = get_float ~op seen "--alpha-h" ~default:0.75 in
-              let* radius_c = get_float ~op seen "--radius-c" ~default:0.0 in
-              let* temperature = get_float ~op seen "--temperature" ~default:0.0 in
-              (match Hyperbolic.Hrg.make ~alpha_h ~radius_c ~temperature ~n () with
-              | p -> Ok (Sample { name; model = Hrg p; seed })
-              | exception Invalid_argument m -> err_bad "invalid hrg parameters: %s" m)
-          | Some "kleinberg" ->
-              let* name = name_res in
-              let* side = req_int ~op seen "--side" in
-              let* long_range = get_int ~op seen "--long-range" ~default:1 in
-              let* exponent = get_float ~op seen "--exponent" ~default:2.0 in
-              (match Kleinberg.Lattice.make ~long_range ~exponent ~side () with
-              | p -> Ok (Sample { name; model = Kleinberg p; seed })
-              | exception Invalid_argument m ->
-                  err_bad "invalid kleinberg parameters: %s" m)
-          | Some other -> err_bad "unknown model %S (girg | hrg | kleinberg)" other
-          | None -> err_bad "sample needs a model: sample <girg|hrg|kleinberg> ...");
-      r_to_args =
-        (function
-        | Sample { name; model; seed } ->
-            let model_args =
-              match model with
-              | Girg p -> "girg" :: girg_model_args p
-              | Hrg p ->
-                  [ "hrg" ]
-                  @ fl "--n" (string_of_int p.Hyperbolic.Hrg.n)
-                  @ fl "--alpha-h" (float_arg p.alpha_h)
-                  @ fl "--radius-c" (float_arg p.radius_c)
-                  @ fl "--temperature" (float_arg p.temperature)
-              | Kleinberg p ->
-                  [ "kleinberg" ]
-                  @ fl "--side" (string_of_int p.Kleinberg.Lattice.side)
-                  @ fl "--long-range" (string_of_int p.long_range)
-                  @ fl "--exponent" (float_arg p.exponent)
-            in
-            ("sample" :: model_args) @ fl "--name" name @ fl "--seed" (string_of_int seed)
-        | _ -> []);
-    };
-    {
-      r_wire = "route";
-      r_cli = "route";
-      r_names = [ "route" ];
-      r_public = true;
-      r_doc = "route one message and return the walk summary";
-      r_flags = route_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Route { instance; _ } -> Some instance | _ -> None);
-      r_fields =
-        (function
-        | Route { instance; source; target; protocol; max_steps } ->
-            [
-              ("instance", J.Str instance);
-              ("source", J.Int source);
-              ("target", J.Int target);
-              ("protocol", J.Str (protocol_to_string protocol));
-            ]
-            @ (match max_steps with Some m -> [ ("max_steps", J.Int m) ] | None -> [])
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          let* source = req_field ~what "source" jint j in
-          let* target = req_field ~what "target" jint j in
-          let* protocol = protocol_of_json ~what j in
-          let* max_steps = opt_field ~what "max_steps" jint j in
-          Ok (Route { instance; source; target; protocol; max_steps }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* instance = req_instance ~op seen in
-          let* source = req_int ~op seen "--source" in
-          let* target = req_int ~op seen "--target" in
-          let* protocol = protocol_of_seen ~op seen in
-          let* max_steps = opt_int ~op seen "--max-steps" in
-          Ok (Route { instance; source; target; protocol; max_steps }));
-      r_to_args =
-        (function
-        | Route { instance; source; target; protocol; max_steps } ->
-            [ "route" ]
-            @ fl "--instance" instance
-            @ fl "--source" (string_of_int source)
-            @ fl "--target" (string_of_int target)
-            @ fl "--protocol" (protocol_to_string protocol)
-            @ opt_fl "--max-steps" (Option.map string_of_int max_steps)
-        | _ -> []);
-    };
-    {
-      r_wire = "route_batch";
-      r_cli = "route-batch";
-      r_names = [ "route_batch"; "route-batch" ];
-      r_public = true;
-      r_doc = "route a batch of pairs (explicit or sampled) in one request";
-      r_flags = batch_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Route_batch { instance; _ } -> Some instance | _ -> None);
-      r_fields =
-        (function
-        | Route_batch { instance; pairs; protocol; max_steps } ->
-            (("instance", J.Str instance) :: pairs_fields pairs)
-            @ [ ("protocol", J.Str (protocol_to_string protocol)) ]
-            @ (match max_steps with Some m -> [ ("max_steps", J.Int m) ] | None -> [])
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          let* pairs = pairs_of_json ~what j in
-          let* protocol = protocol_of_json ~what j in
-          let* max_steps = opt_field ~what "max_steps" jint j in
-          Ok (Route_batch { instance; pairs; protocol; max_steps }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* instance = req_instance ~op seen in
-          let* protocol = protocol_of_seen ~op seen in
-          let* max_steps = opt_int ~op seen "--max-steps" in
-          let* pairs =
-            match (get seen "--pairs", get seen "--count") with
-            | Some _, Some _ -> err_bad "route-batch takes --pairs or --count, not both"
-            | Some ps, None ->
-                let* ps = parse_pairs ~op ps in
-                Ok (Pairs ps)
-            | None, Some _ ->
-                let* count = req_int ~op seen "--count" in
-                let* pair_seed = get_int ~op seen "--pair-seed" ~default:0 in
-                let* pool =
-                  match get seen "--pool" with
-                  | None -> Ok Giant
-                  | Some v -> pool_of_string v
-                in
-                Ok (Drawn { count; pair_seed; pool })
-            | None, None -> err_bad "route-batch requires --pairs or --count"
-          in
-          Ok (Route_batch { instance; pairs; protocol; max_steps }));
-      r_to_args =
-        (function
-        | Route_batch { instance; pairs; protocol; max_steps } ->
-            let pair_args =
-              match pairs with
-              | Pairs ps ->
-                  fl "--pairs"
-                    (String.concat ","
-                       (List.map (fun (s, t) -> Printf.sprintf "%d:%d" s t) ps))
-              | Drawn { count; pair_seed; pool } ->
-                  fl "--count" (string_of_int count)
-                  @ fl "--pair-seed" (string_of_int pair_seed)
-                  @ fl "--pool" (pool_to_string pool)
-            in
-            [ "route-batch" ]
-            @ fl "--instance" instance
-            @ pair_args
-            @ fl "--protocol" (protocol_to_string protocol)
-            @ opt_fl "--max-steps" (Option.map string_of_int max_steps)
-        | _ -> []);
-    };
-    {
-      r_wire = "stats";
-      r_cli = "stats";
-      r_names = [ "stats" ];
-      r_public = true;
-      r_doc = "structural statistics of an instance";
-      r_flags = stats_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Stats { instance } -> Some instance | _ -> None);
-      r_fields =
-        (function Stats { instance } -> [ ("instance", J.Str instance) ] | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          Ok (Stats { instance }));
-      r_of_seen =
-        (fun cx ->
-          let* instance = req_instance ~op:cx.ax_op cx.ax_seen in
-          Ok (Stats { instance }));
-      r_to_args =
-        (function Stats { instance } -> "stats" :: fl "--instance" instance | _ -> []);
-    };
-    {
-      r_wire = "gen_shard";
-      r_cli = "sample";
-      r_names = [ "gen_shard"; "gen-shard" ];
-      r_public = false;  (* rides under [sample girg ... --spill-out] on the CLI *)
-      r_doc =
-        "sample one shard of a GIRG's deterministic edge enumeration and spill it";
-      r_flags = [];
-      r_positional = None;
-      r_instance = (fun _ -> None);
-      r_fields =
-        (function
-        | Gen_shard { params; seed; shards; shard; out } ->
-            model_fields (Girg params)
-            @ [
-                ("seed", J.Int seed);
-                ("shards", J.Int shards);
-                ("shard", J.Int shard);
-                ("out", J.Str out);
-              ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* model = model_of_json ~what j in
-          match model with
-          | Girg params ->
-              let* seed = opt_field ~what "seed" jint j in
-              let* shards = req_field ~what "shards" jint j in
-              let* shard = req_field ~what "shard" jint j in
-              let* out = req_field ~what "out" jstr j in
-              let* () = check_shard_range ~what ~shards ~shard in
-              Ok
-                (Gen_shard
-                   { params; seed = Option.value seed ~default:42; shards; shard; out })
-          | Hrg _ | Kleinberg _ -> err_bad "gen_shard supports the girg model only");
-      r_of_seen =
-        (fun _ -> err_bad "gen_shard rides under: sample girg ... --spill-out FILE");
-      r_to_args =
-        (function
-        | Gen_shard { params; seed; shards; shard; out } ->
-            [ "sample"; "girg" ]
-            @ girg_model_args params
-            @ fl "--seed" (string_of_int seed)
-            @ fl "--shards" (string_of_int shards)
-            @ fl "--shard" (string_of_int shard)
-            @ fl "--spill-out" out
-        | _ -> []);
-    };
-    {
-      r_wire = "merge_shards";
-      r_cli = "merge-shards";
-      r_names = [ "merge_shards"; "merge-shards" ];
-      r_public = true;
-      r_doc = "merge per-shard spill files into one instance and register it";
-      r_flags = merge_flags;
-      r_positional = Some "--spills";
-      r_instance = (function Merge_shards { name; _ } -> Some name | _ -> None);
-      r_fields =
-        (function
-        | Merge_shards { name; spills } ->
-            [
-              ("name", J.Str name);
-              ("spills", J.Arr (List.map (fun p -> J.Str p) spills));
-            ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* name = req_field ~what "name" jstr j in
-          match J.member "spills" j with
-          | Some (J.Arr items) ->
-              let rec go acc = function
-                | [] ->
-                    if acc = [] then err_bad "merge_shards needs at least one spill"
-                    else Ok (Merge_shards { name; spills = List.rev acc })
-                | J.Str p :: rest -> go (p :: acc) rest
-                | _ -> err_bad "\"spills\" entries must be path strings"
-              in
-              go [] items
-          | _ -> err_bad "merge_shards request is missing array field \"spills\"");
-      r_of_seen =
-        (fun cx ->
-          let seen = cx.ax_seen in
-          let* name =
-            match get seen "--name" with
-            | Some n -> Ok n
-            | None -> err_bad "merge-shards requires --name"
-          in
-          let* spills =
-            match get seen "--spills" with
-            | Some s -> (
-                match List.filter (fun p -> p <> "") (String.split_on_char ',' s) with
-                | [] -> err_bad "--spills needs at least one path"
-                | paths -> Ok paths)
-            | None ->
-                err_bad
-                  "merge-shards requires --spills (comma-separated spill files, or one \
-                   positional argument)"
-          in
-          Ok (Merge_shards { name; spills }));
-      r_to_args =
-        (function
-        | Merge_shards { name; spills } ->
-            [ "merge-shards" ]
-            @ fl "--name" name
-            @ fl "--spills" (String.concat "," spills)
-        | _ -> []);
-    };
-    {
-      r_wire = "snapshot";
-      r_cli = "snapshot";
-      r_names = [ "snapshot" ];
-      r_public = true;
-      r_doc = "re-encode a saved instance as a v2 binary (mmap-ready) snapshot";
-      r_flags = snapshot_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Snapshot { instance; _ } -> Some instance | _ -> None);
-      r_fields =
-        (function
-        | Snapshot { instance; out } ->
-            [ ("instance", J.Str instance); ("out", J.Str out) ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          let* out = req_field ~what "out" jstr j in
-          Ok (Snapshot { instance; out }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* instance = req_instance ~op seen in
-          let* out =
-            match get seen "--out" with
-            | Some o -> Ok o
-            | None -> err_bad "snapshot requires --out FILE"
-          in
-          Ok (Snapshot { instance; out }));
-      r_to_args =
-        (function
-        | Snapshot { instance; out } ->
-            ("snapshot" :: fl "--instance" instance) @ fl "--out" out
-        | _ -> []);
-    };
-    {
-      r_wire = "mutate";
-      r_cli = "mutate";
-      r_names = [ "mutate" ];
-      r_public = true;
-      r_doc =
-        "apply a live-mutation script (leave/rejoin/drop/resample) as one new graph \
-         epoch";
-      r_flags = mutate_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Mutate { instance; _ } -> Some instance | _ -> None);
-      r_fields =
-        (function
-        | Mutate { instance; ops; seed } ->
-            [
-              ("instance", J.Str instance);
-              ( "ops",
-                J.Arr (List.map (fun o -> J.Str (Girg.Mutate.op_to_string o)) ops) );
-              ("seed", J.Int seed);
-            ]
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          let* ops =
-            match J.member "ops" j with
-            | Some (J.Arr items) ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | J.Str s :: rest -> (
-                      match Girg.Mutate.op_of_string s with
-                      | Ok op -> go (op :: acc) rest
-                      | Error m -> err_bad "%s" m)
-                  | _ -> err_bad "\"ops\" entries must be mutation strings"
-                in
-                let* ops = go [] items in
-                if ops = [] then err_bad "mutate needs at least one op" else Ok ops
-            | Some _ -> err_bad "field \"ops\" of a %s request must be an array" what
-            | None -> err_bad "%s request is missing array field \"ops\"" what
-          in
-          let* seed = opt_field ~what "seed" jint j in
-          Ok (Mutate { instance; ops; seed = Option.value seed ~default:42 }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* instance = req_instance ~op seen in
-          let* ops =
-            match get seen "--ops" with
-            | Some s -> mutation_ops_of_string s
-            | None -> err_bad "mutate requires --ops (comma-separated, e.g. leave:5,drop:3:7)"
-          in
-          let* seed = get_int ~op seen "--seed" ~default:42 in
-          Ok (Mutate { instance; ops; seed }));
-      r_to_args =
-        (function
-        | Mutate { instance; ops; seed } ->
-            [ "mutate" ]
-            @ fl "--instance" instance
-            @ fl "--ops" (String.concat "," (List.map Girg.Mutate.op_to_string ops))
-            @ fl "--seed" (string_of_int seed)
-        | _ -> []);
-    };
-    {
-      r_wire = "churn";
-      r_cli = "churn";
-      r_names = [ "churn" ];
-      r_public = true;
-      r_doc =
-        "run a churn scenario (mutate, re-route, repeat) and report per-epoch delivery";
-      r_flags = churn_flags;
-      r_positional = Some "--instance";
-      r_instance = (function Churn { instance; _ } -> Some instance | _ -> None);
-      r_fields =
-        (function
-        | Churn { instance; config = c } ->
-            [
-              ("instance", J.Str instance);
-              ("scenario", J.Str (Experiments.Churn.scenario_to_string c.scenario));
-              ("epochs", J.Int c.epochs);
-              ("events", J.Int c.events);
-              ("quit", J.Float c.quit);
-              ("seed", J.Int c.seed);
-              ("count", J.Int c.count);
-              ("pair_seed", J.Int c.pair_seed);
-              ("protocol", J.Str (protocol_to_string c.protocol));
-            ]
-            @ (match c.max_steps with Some m -> [ ("max_steps", J.Int m) ] | None -> [])
-        | _ -> []);
-      r_of_json =
-        (fun ~what j ->
-          let* instance = req_field ~what "instance" jstr j in
-          let* scenario =
-            match J.member "scenario" j with
-            | None -> Ok Experiments.Churn.Uniform
-            | Some (J.Str s) -> scenario_of_string_err s
-            | Some _ -> err_bad "field \"scenario\" of a %s request has the wrong type" what
-          in
-          let* epochs = opt_field ~what "epochs" jint j in
-          let* events = opt_field ~what "events" jint j in
-          let* quit = opt_field ~what "quit" jfloat j in
-          let* seed = opt_field ~what "seed" jint j in
-          let* count = opt_field ~what "count" jint j in
-          let* pair_seed = opt_field ~what "pair_seed" jint j in
-          let* protocol = protocol_of_json ~what j in
-          let* max_steps = opt_field ~what "max_steps" jint j in
-          Ok
-            (Churn
-               {
-                 instance;
-                 config =
-                   {
-                     Experiments.Churn.scenario;
-                     epochs = Option.value epochs ~default:3;
-                     events = Option.value events ~default:16;
-                     quit = Option.value quit ~default:0.0;
-                     seed = Option.value seed ~default:42;
-                     count = Option.value count ~default:200;
-                     pair_seed = Option.value pair_seed ~default:0;
-                     protocol;
-                     max_steps;
-                   };
-               }));
-      r_of_seen =
-        (fun cx ->
-          let op = cx.ax_op and seen = cx.ax_seen in
-          let* instance = req_instance ~op seen in
-          let* scenario =
-            match get seen "--scenario" with
-            | None -> Ok Experiments.Churn.Uniform
-            | Some s -> scenario_of_string_err s
-          in
-          let* epochs = get_int ~op seen "--epochs" ~default:3 in
-          let* events = get_int ~op seen "--events" ~default:16 in
-          let* quit = get_float ~op seen "--quit" ~default:0.0 in
-          let* seed = get_int ~op seen "--seed" ~default:42 in
-          let* count = get_int ~op seen "--count" ~default:200 in
-          let* pair_seed = get_int ~op seen "--pair-seed" ~default:0 in
-          let* protocol = protocol_of_seen ~op seen in
-          let* max_steps = opt_int ~op seen "--max-steps" in
-          Ok
-            (Churn
-               {
-                 instance;
-                 config =
-                   {
-                     Experiments.Churn.scenario;
-                     epochs;
-                     events;
-                     quit;
-                     seed;
-                     count;
-                     pair_seed;
-                     protocol;
-                     max_steps;
-                   };
-               }));
-      r_to_args =
-        (function
-        | Churn { instance; config = c } ->
-            [ "churn" ]
-            @ fl "--instance" instance
-            @ fl "--scenario" (Experiments.Churn.scenario_to_string c.scenario)
-            @ fl "--epochs" (string_of_int c.epochs)
-            @ fl "--events" (string_of_int c.events)
-            @ fl "--quit" (float_arg c.quit)
-            @ fl "--seed" (string_of_int c.seed)
-            @ fl "--count" (string_of_int c.count)
-            @ fl "--pair-seed" (string_of_int c.pair_seed)
-            @ fl "--protocol" (protocol_to_string c.protocol)
-            @ opt_fl "--max-steps" (Option.map string_of_int c.max_steps)
-        | _ -> []);
-    };
-    {
-      r_wire = "health";
-      r_cli = "health";
-      r_names = [ "health" ];
-      r_public = true;
-      r_doc = "server liveness, counters, registry contents";
-      r_flags = [];
-      r_positional = None;
-      r_instance = (fun _ -> None);
-      r_fields = (fun _ -> []);
-      r_of_json = (fun ~what:_ _ -> Ok Health);
-      r_of_seen = (fun _ -> Ok Health);
-      r_to_args = (fun _ -> [ "health" ]);
-    };
-    {
-      r_wire = "stats-server";
-      r_cli = "stats-server";
-      r_names = [ "stats-server"; "server-stats" ];
-      r_public = true;
-      r_doc =
-        "live telemetry snapshot: counters, gauges, per-stage latency quantiles, \
-         Prometheus text dump";
-      r_flags = [];
-      r_positional = None;
-      r_instance = (fun _ -> None);
-      r_fields = (fun _ -> []);
-      r_of_json = (fun ~what:_ _ -> Ok Server_stats);
-      r_of_seen = (fun _ -> Ok Server_stats);
-      r_to_args = (fun _ -> [ "stats-server" ]);
-    };
-    {
-      r_wire = "drain";
-      r_cli = "drain";
-      r_names = [ "drain" ];
-      r_public = true;
-      r_doc = "stop accepting work, finish in-flight requests, exit";
-      r_flags = [];
-      r_positional = None;
-      r_instance = (fun _ -> None);
-      r_fields = (fun _ -> []);
-      r_of_json = (fun ~what:_ _ -> Ok Drain);
-      r_of_seen = (fun _ -> Ok Drain);
-      r_to_args = (fun _ -> [ "drain" ]);
-    };
-  ]
-
-(* The one remaining constructor match: everything else about an op is
-   read off its row. *)
-let row_of_request r =
-  let wire =
-    match r with
-    | Load _ -> "load"
-    | Sample _ -> "sample"
-    | Route _ -> "route"
-    | Route_batch _ -> "route_batch"
-    | Stats _ -> "stats"
-    | Gen_shard _ -> "gen_shard"
-    | Merge_shards _ -> "merge_shards"
-    | Snapshot _ -> "snapshot"
-    | Mutate _ -> "mutate"
-    | Churn _ -> "churn"
-    | Health -> "health"
-    | Server_stats -> "stats-server"
-    | Drain -> "drain"
-  in
-  List.find (fun row -> row.r_wire = wire) table
-
-let op_names = List.map (fun r -> r.r_wire) table
-let op_of_request r = (row_of_request r).r_wire
-let instance_of_request r = (row_of_request r).r_instance r
-let request_fields r = (row_of_request r).r_fields r
-
-(* ------------------------------------------------------------------ *)
-(* Envelope codecs (both directions derive from the table)             *)
-
-let envelope_to_json e =
-  J.Obj
-    ([ ("v", J.Int version); ("op", J.Str (op_of_request e.request)) ]
-    @ (match e.id with Some i -> [ ("id", J.Int i) ] | None -> [])
-    @ (match e.deadline_ms with Some d -> [ ("deadline_ms", J.Int d) ] | None -> [])
-    @ (match e.trace with
-      | Some t ->
-          [ ("trace", J.Obj [ ("id", J.Str t.trace_id); ("span", J.Int t.parent_span) ]) ]
-      | None -> [])
-    @ request_fields e.request)
-
-let envelope_of_json j =
-  let* () =
-    match J.member "v" j with
-    | Some (J.Int v) when v = version -> Ok ()
-    | Some (J.Int v) ->
-        Error
-          (Error.make Error.Unsupported_version
-             "unsupported API version %d (this server speaks v%d only)" v version)
-    | Some _ -> err_bad "field \"v\" must be an integer"
-    | None -> err_bad "request is missing field \"v\" (API version, currently %d)" version
-  in
-  let* op = req_field ~what:"any" "op" jstr j in
-  let* id = opt_field ~what:op "id" jint j in
-  let* deadline_ms = opt_field ~what:op "deadline_ms" jint j in
-  let* trace =
-    match J.member "trace" j with
-    | None -> Ok None
-    | Some (J.Obj _ as t) ->
-        let* trace_id = req_field ~what:"trace" "id" jstr t in
-        let* parent_span = opt_field ~what:"trace" "span" jint t in
-        Ok (Some { trace_id; parent_span = Option.value parent_span ~default:0 })
-    | Some _ -> err_bad "field \"trace\" of a %s request must be an object" op
-  in
-  let* request =
-    match List.find_opt (fun r -> List.mem op r.r_names) table with
-    | Some row -> row.r_of_json ~what:op j
-    | None -> err_bad "unknown op %S (%s)" op (String.concat " | " op_names)
-  in
-  Ok { id; deadline_ms; trace; request }
-
-let envelope_of_line line =
-  match J.json_of_string line with
-  | Error m -> err_bad "unparseable request line: %s" m
-  | Ok j -> envelope_of_json j
-
-let request_line e = J.json_to_string (envelope_to_json e)
 
 let cli_ops_doc () =
   String.concat " | "
@@ -1900,92 +1294,74 @@ let of_args args =
       | Some row ->
           let op = row.r_cli in
           (* sample's leading bare token picks the model and swaps that
-             model's flag table into the scanner. *)
-          let* model, op_flags, rest =
-            if row.r_wire <> "sample" then Ok (None, row.r_flags, rest)
-            else
-              match rest with
-              | model :: rest when String.length model > 0 && model.[0] <> '-' ->
-                  let mflags =
-                    Option.value (List.assoc_opt model model_flag_table) ~default:[]
-                  in
-                  Ok (Some model, mflags @ row.r_flags, rest)
-              | _ -> err_bad "sample needs a model: sample <girg|hrg|kleinberg> ..."
+             model's flags into the scanner. *)
+          let* model, flags, rest =
+            match (row.r_models, rest) with
+            | [], _ -> Ok (None, row.r_request.flags, rest)
+            | models, tag :: rest when String.length tag > 0 && tag.[0] <> '-' ->
+                let mflags =
+                  match List.find_opt (fun m -> m.m_tag = tag) models with
+                  | Some m -> m.m_flags
+                  | None -> []
+                in
+                Ok (Some tag, mflags @ row.r_request.flags, rest)
+            | _ -> err_bad "%s needs a model: %s <%s> ..." op op model_tags
           in
-          let known = op_flags @ envelope_flags @ exec_flags in
-          let* seen, positionals = scan ~op ~known rest in
+          let* seen, positionals = scan ~op ~known:(flags @ envelope_flags @ exec_c.flags) rest in
+          Option.iter (Hashtbl.replace seen model_f.flag) model;
           let* () =
-            match (positionals, row.r_positional) with
+            match (positionals, Option.map flag_of row.r_positional) with
             | [], _ -> Ok ()
             | [ p ], Some flag ->
                 if Hashtbl.mem seen flag then
                   err_bad "%s got both a positional argument and %s" op flag
-                else begin
-                  Hashtbl.replace seen flag p;
-                  Ok ()
-                end
+                else Ok (Hashtbl.replace seen flag p)
             | p :: _, _ -> err_bad "unexpected argument %S for %s" p op
           in
-          let* exec = exec_of_seen ~op seen in
-          let* id = opt_int ~op seen "--id" in
-          let* deadline_ms = opt_int ~op seen "--deadline-ms" in
-          let* trace =
-            let* parent = opt_int ~op seen "--trace-parent" in
-            match (get seen "--trace-id", parent) with
-            | Some trace_id, parent ->
-                Ok (Some { trace_id; parent_span = Option.value parent ~default:0 })
-            | None, Some _ -> err_bad "--trace-parent requires --trace-id"
-            | None, None -> Ok None
-          in
-          let* request =
-            row.r_of_seen { ax_op = op; ax_seen = seen; ax_exec = exec; ax_model = model }
-          in
-          Ok ({ id; deadline_ms; trace; request }, exec))
+          let src = Argv (op, seen) in
+          let* exec = exec_c.dec src in
+          let* envelope = read_envelope src row in
+          Ok (envelope, exec))
 
 let to_args ?(exec = no_exec) e =
-  let tail =
-    opt_fl "--id" (Option.map string_of_int e.id)
-    @ opt_fl "--deadline-ms" (Option.map string_of_int e.deadline_ms)
-    @ (match e.trace with
-      | Some t ->
-          [ "--trace-id"; t.trace_id; "--trace-parent"; string_of_int t.parent_span ]
-      | None -> [])
-    @ opt_fl "--output" exec.output
-    @ opt_fl "--obs-out" exec.obs_out
-    @ opt_fl "--events-out" exec.events_out
-    @ opt_fl "--trace-out" exec.trace_out
-    @ opt_fl "--jobs" (Option.map string_of_int exec.jobs)
-  in
-  (row_of_request e.request).r_to_args e.request @ tail
-
+  let row, fields = request_row e.request in
+  let trace = match e.trace with Some t -> bindings trace_c t | None -> [] in
+  row.r_cli :: argv_of (fields @ envelope_bindings e @ trace @ bindings exec_c exec)
 
 (* ------------------------------------------------------------------ *)
 (* Schema dump                                                         *)
 
-let fspec_json f =
+let field_json (F f) =
   J.Obj
     [
       ("flag", J.Str f.flag);
       ("aliases", J.Arr (List.map (fun a -> J.Str a) f.als));
-      ("type", J.Str f.ftyp);
-      ("required", J.Bool f.freq);
-      ("default", match f.fdefault with Some d -> J.Str d | None -> J.Null);
-      ("doc", J.Str f.fdoc);
+      ("type", J.Str f.ty.tname);
+      ("required", J.Bool (f.dflt = None));
+      ( "default",
+        match f.dflt with
+        | Some d when f.ty.tname <> "flag" && not (omitted f d) -> J.Str (f.ty.to_arg d)
+        | _ -> J.Null );
+      ("doc", J.Str f.doc);
     ]
 
 let schema_json () =
   let op_json r =
-    let extra =
-      if r.r_wire = "sample" then
+    let models =
+      if r.r_models = [] then []
+      else
         [
           ( "models",
             J.Arr
               (List.map
-                 (fun (m, fs) ->
-                   J.Obj [ ("model", J.Str m); ("args", J.Arr (List.map fspec_json fs)) ])
-                 model_flag_table) );
+                 (fun m ->
+                   J.Obj
+                     [
+                       ("model", J.Str m.m_tag);
+                       ("args", J.Arr (List.map field_json m.m_flags));
+                     ])
+                 r.r_models) );
         ]
-      else []
     in
     J.Obj
       ([
@@ -1996,11 +1372,10 @@ let schema_json () =
                 (fun a -> if a = r.r_cli then None else Some (J.Str a))
                 r.r_names) );
          ("doc", J.Str r.r_doc);
-         ( "positional",
-           match r.r_positional with Some p -> J.Str p | None -> J.Null );
-         ("args", J.Arr (List.map fspec_json r.r_flags));
+         ("positional", match r.r_positional with Some p -> J.Str (flag_of p) | None -> J.Null);
+         ("args", J.Arr (List.map field_json r.r_request.flags));
        ]
-      @ extra)
+      @ models)
   in
   J.Obj
     [
@@ -2008,11 +1383,9 @@ let schema_json () =
       ("version", J.Int version);
       ( "ops",
         J.Arr
-          (List.filter_map
-             (fun r -> if r.r_public then Some (op_json r) else None)
-             table) );
-      ("envelope_args", J.Arr (List.map fspec_json envelope_flags));
-      ("exec_args", J.Arr (List.map fspec_json exec_flags));
+          (List.filter_map (fun r -> if r.r_public then Some (op_json r) else None) table) );
+      ("envelope_args", J.Arr (List.map field_json envelope_flags));
+      ("exec_args", J.Arr (List.map field_json exec_c.flags));
       ( "error_codes",
         J.Arr
           (List.map

@@ -717,6 +717,26 @@ let test_daemon_binary_bad_version () =
           | V1.Health_reply _ -> ()
           | r -> check_code "health after bad version" E.Internal r))
 
+(* The JSON half of envelope versioning over a real socket: a request
+   line carrying "v": 2 gets the structured unsupported-version error
+   naming the supported range, and the daemon keeps serving v1. *)
+let test_daemon_json_bad_version () =
+  with_daemon (fun _t port ->
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          send_all fd "{\"v\":2,\"op\":\"health\"}\n";
+          let line = recv_line fd in
+          (match (ok ~what:line (V1.reply_of_line line)).V1.response with
+          | V1.Failed e ->
+              Alcotest.(check bool) "unsupported-version code" true
+                (e.E.code = E.Unsupported_version);
+              Alcotest.(check string) "message names the range"
+                "unsupported API version 2 (this server speaks v1 only)" e.E.message
+          | _ -> Alcotest.fail "JSON v2 request was not refused");
+          match rpc fd (V1.envelope V1.Health) with
+          | V1.Health_reply _ -> ()
+          | r -> check_code "health after bad version" E.Internal r))
+
 (* Live-graph ops end to end over the wire: mutate through one codec,
    observe the bumped generation through the other, and run a churn
    scenario whose rows match a local replay byte for byte. *)
@@ -1567,6 +1587,8 @@ let suite =
       test_daemon_json_only;
     Alcotest.test_case "binary wrong version byte is refused structurally" `Quick
       test_daemon_binary_bad_version;
+    Alcotest.test_case "json unsupported version is refused structurally" `Quick
+      test_daemon_json_bad_version;
     Alcotest.test_case "mutate and churn end to end over the wire" `Quick
       test_daemon_mutate_churn;
     Alcotest.test_case "route cache: hits, invalidation, generations" `Quick
