@@ -95,14 +95,14 @@ let run_experiment_tables () =
          manifest line (and the printed tree) attribute to this
          experiment alone. *)
       Obs.Metrics.reset Obs.Metrics.default;
-      Obs.Trace.clear ();
+      Obs.Span.clear_roots ();
       Obs.Events.clear ();
       let tables, span = Experiments.Registry.run_traced e ctx in
       print_string (Experiments.Registry.render_header e);
       List.iter (fun t -> print_string (Stats.Table.render t); print_newline ()) tables;
       (match span with
       | Some s ->
-          print_string (Obs.Trace.render s);
+          print_string (Obs.Export.span_table s);
           Printf.printf "(%s finished in %.1fs)\n\n%!" e.Experiments.Registry.id s.Obs.Span.wall_s
       | None ->
           Printf.printf "(%s finished; timing disabled via SMALLWORLD_OBS=0)\n\n%!"
@@ -301,7 +301,7 @@ let record args =
              wall clock is read directly, so recording also works under
              SMALLWORLD_OBS=0 (counters then come back zeroed). *)
           Obs.Metrics.reset Obs.Metrics.default;
-          Obs.Trace.clear ();
+          Obs.Span.clear_roots ();
           Obs.Events.clear ();
           let a0 = Gc.allocated_bytes () in
           let t0 = Unix.gettimeofday () in

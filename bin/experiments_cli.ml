@@ -87,7 +87,7 @@ let run_cmd =
         List.iter
           (fun e ->
             Obs.Metrics.reset Obs.Metrics.default;
-            Obs.Trace.clear ();
+            Obs.Span.clear_roots ();
             Obs.Events.clear ();
             let t0 = Sys.time () in
             let tables, span = Experiments.Registry.run_traced e ctx in

@@ -97,7 +97,7 @@ let tree_cmd =
     let record = select_trace ~trace files in
     Printf.printf "trace %s (root %s, origin %s)\n" record.Obs.Profile.tr_trace
       record.tr_root.Obs.Span.name record.tr_origin;
-    print_string (Obs.Trace.render record.tr_root)
+    print_string (Obs.Export.span_table record.tr_root)
   in
   Cmd.v (Cmd.info "tree" ~doc) Term.(const run $ files_arg $ trace_arg)
 

@@ -202,15 +202,20 @@ type server_stats_reply = {
   uptime_s : float;
   s_draining : bool;
   obs_live : bool;
-      (** false under [SMALLWORLD_OBS=0]: counters and gauges stay
-          authoritative, but stage histograms and the Prometheus dump
-          are zeroed no-op stubs *)
+      (** false under [SMALLWORLD_OBS=0]: the server's counters and
+          gauges, and their Prometheus lines, stay live; only the
+          stage histograms and the process-wide metrics are zeroed *)
   s_counters : (string * int) list;  (** same snapshot as [health] *)
   gauges : (string * float) list;
       (** [server.queue_depth], [server.inflight],
-          [server.registry.size] / [.pinned] / [.cap] *)
+          [server.registry.size] / [.pinned] / [.orphaned] / [.cap],
+          [server.cache.size] / [.cap], in name order, then
+          [server.registry.gen.<name>] per instance *)
   stages : stage_latency list;
-  prometheus : string;  (** full Prometheus text dump of the registry *)
+  prometheus : string;
+      (** Prometheus text of the server's snapshot (the one
+          [s_counters] and [gauges] come from), then of the
+          process-wide registry *)
 }
 
 type response =

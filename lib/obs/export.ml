@@ -557,6 +557,22 @@ let folded_stacks (root : Span.t) =
   go "" root;
   Buffer.contents buf
 
+(* ASCII table of one span tree, indented by depth. *)
+let span_table (root : Span.t) =
+  let mb bytes = bytes /. 1048576.0 in
+  let buf = Buffer.create 512 in
+  let rec go indent (s : Span.t) =
+    let label = indent ^ s.name in
+    Buffer.add_string buf
+      (Printf.sprintf "%-44s %9.3fs %7.3fs self %6dx %9.1fMB\n" label s.wall_s
+         (Span.self_s s) s.count (mb s.alloc_bytes));
+    List.iter (go (indent ^ "  ")) s.children
+  in
+  Buffer.add_string buf
+    (Printf.sprintf "%-44s %10s %12s %7s %11s\n" "span" "wall" "self" "count" "alloc");
+  go "" root;
+  Buffer.contents buf
+
 (* Prometheus text format: dots and other separators become underscores,
    everything is prefixed with smallworld_.  Histograms are emitted with
    cumulative le buckets as the convention requires. *)
@@ -571,7 +587,7 @@ let prometheus_name name =
     name;
   Buffer.contents buf
 
-let prometheus registry =
+let prometheus_of_snapshot snap =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (name, v) ->
@@ -593,5 +609,7 @@ let prometheus registry =
           Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" pname h.count);
           Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" pname h.sum);
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" pname h.count))
-    (Metrics.snapshot registry);
+    snap;
   Buffer.contents buf
+
+let prometheus registry = prometheus_of_snapshot (Metrics.snapshot registry)

@@ -107,7 +107,15 @@ val folded_stacks : Span.t -> string
     interior nodes whose self time rounds to 0 µs are omitted (leaves
     are always kept so every path appears). *)
 
+val span_table : Span.t -> string
+(** ASCII table of one span tree: wall / self time, invocation count and
+    allocated MB per node, indented by depth. *)
+
 val prometheus : Metrics.registry -> string
 (** Prometheus text exposition of a registry snapshot: names are
     prefixed [smallworld_] with separators mapped to underscores;
     histograms use cumulative [le] buckets. *)
+
+val prometheus_of_snapshot : (string * Metrics.value) list -> string
+(** {!prometheus} of a snapshot already taken, so the text agrees with
+    other readers of that same snapshot. *)

@@ -5,7 +5,7 @@
     with the same name merge — counts, times and subtrees accumulate —
     so a span inside a loop shows up once with [count] = iterations.
     Spans closed with an empty stack become trace roots, retrievable
-    through {!roots} / {!Trace.roots}. *)
+    through {!roots}. *)
 
 type t = {
   name : string;

@@ -10,18 +10,13 @@ type t = {
   cond : Condition.t;
   table : (string, slot) Hashtbl.t;
   mutable clock : int;
-  c_hits : int Atomic.t;
-  c_misses : int Atomic.t;
-  c_coalesced : int Atomic.t;
-  c_evictions : int Atomic.t;
-  m_hits : Obs.Metrics.counter;
-  m_misses : Obs.Metrics.counter;
-  m_coalesced : Obs.Metrics.counter;
-  m_evictions : Obs.Metrics.counter;
-  m_size : Obs.Metrics.gauge;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  coalesced : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
 }
 
-let create ~cap =
+let create ~metrics ~cap =
   if cap < 0 then invalid_arg "Cache.create: cap must be >= 0";
   {
     cache_cap = cap;
@@ -29,30 +24,17 @@ let create ~cap =
     cond = Condition.create ();
     table = Hashtbl.create (max 16 (min cap 4096));
     clock = 0;
-    c_hits = Atomic.make 0;
-    c_misses = Atomic.make 0;
-    c_coalesced = Atomic.make 0;
-    c_evictions = Atomic.make 0;
-    m_hits = Obs.Metrics.counter "server.cache.hits";
-    m_misses = Obs.Metrics.counter "server.cache.misses";
-    m_coalesced = Obs.Metrics.counter "server.cache.coalesced";
-    m_evictions = Obs.Metrics.counter "server.cache.evictions";
-    m_size = Obs.Metrics.gauge "server.cache.size";
+    hits = Obs.Metrics.counter ~registry:metrics "server.cache.hits";
+    misses = Obs.Metrics.counter ~registry:metrics "server.cache.misses";
+    coalesced = Obs.Metrics.counter ~registry:metrics "server.cache.coalesced";
+    evictions = Obs.Metrics.counter ~registry:metrics "server.cache.evictions";
   }
 
 let cap t = t.cache_cap
-let hits t = Atomic.get t.c_hits
-let misses t = Atomic.get t.c_misses
-let coalesced t = Atomic.get t.c_coalesced
-let evictions t = Atomic.get t.c_evictions
-
-let counter_pairs t =
-  [
-    ("server.cache.hits", hits t);
-    ("server.cache.misses", misses t);
-    ("server.cache.coalesced", coalesced t);
-    ("server.cache.evictions", evictions t);
-  ]
+let hits t = Obs.Metrics.counter_value t.hits
+let misses t = Obs.Metrics.counter_value t.misses
+let coalesced t = Obs.Metrics.counter_value t.coalesced
+let evictions t = Obs.Metrics.counter_value t.evictions
 
 (* '|'-joined fields; the name goes last (names may themselves contain
    '|', but nothing after the name is parsed back, so the key stays
@@ -68,10 +50,11 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* Completed entries only (Computing slots are pinned by their leader
-   and never evicted). *)
-let size t =
-  locked t @@ fun () ->
+   and never evicted).  Under the mutex. *)
+let value_count t =
   Hashtbl.fold (fun _ s n -> match s with Value _ -> n + 1 | Computing -> n) t.table 0
+
+let size t = locked t (fun () -> value_count t)
 
 (* Under the mutex. *)
 let touch t = function
@@ -79,9 +62,6 @@ let touch t = function
       t.clock <- t.clock + 1;
       v.stamp <- t.clock
   | Computing -> ()
-
-let value_count t =
-  Hashtbl.fold (fun _ s n -> match s with Value _ -> n + 1 | Computing -> n) t.table 0
 
 let evict_over_cap t =
   while value_count t > t.cache_cap do
@@ -97,8 +77,7 @@ let evict_over_cap t =
     match victim with
     | Some (key, _) ->
         Hashtbl.remove t.table key;
-        Atomic.incr t.c_evictions;
-        Obs.Metrics.incr t.m_evictions
+        Obs.Metrics.incr t.evictions
     | None -> ()
   done
 
@@ -114,24 +93,17 @@ let find_or_compute t ?(cache_if = fun _ -> true) ~key f =
           touch t s;
           (* A follower woken into a completed entry is already counted
              as coalesced; only first-lookup hits count as hits. *)
-          if not waited then begin
-            Atomic.incr t.c_hits;
-            Obs.Metrics.incr t.m_hits
-          end;
+          if not waited then Obs.Metrics.incr t.hits;
           Mutex.unlock t.mutex;
           `Done v.v
       | Some Computing ->
-          if not waited then begin
-            Atomic.incr t.c_coalesced;
-            Obs.Metrics.incr t.m_coalesced
-          end;
+          if not waited then Obs.Metrics.incr t.coalesced;
           Condition.wait t.cond t.mutex;
           claim ~waited:true
       | None ->
           (* First caller — or first follower after a failed leader —
              becomes the (new) leader. *)
-          Atomic.incr t.c_misses;
-          Obs.Metrics.incr t.m_misses;
+          Obs.Metrics.incr t.misses;
           Hashtbl.replace t.table key Computing;
           Mutex.unlock t.mutex;
           `Lead
@@ -146,8 +118,7 @@ let find_or_compute t ?(cache_if = fun _ -> true) ~key f =
             let s = Value { v = r; stamp = 0 } in
             Hashtbl.replace t.table key s;
             touch t s;
-            evict_over_cap t;
-            Obs.Metrics.set t.m_size (float_of_int (value_count t))
+            evict_over_cap t
         | Ok _ | Error _ -> Hashtbl.remove t.table key);
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
@@ -173,5 +144,4 @@ let invalidate_name t ~name =
           match s with Computing -> acc | Value _ -> if matches key then key :: acc else acc)
         t.table []
     in
-    List.iter (Hashtbl.remove t.table) doomed;
-    Obs.Metrics.set t.m_size (float_of_int (value_count t))
+    List.iter (Hashtbl.remove t.table) doomed

@@ -11,14 +11,16 @@
     (deadline, unknown instance, …) are per-request verdicts and are
     recomputed.
 
-    Counters are authoritative plain atomics (live under
-    [SMALLWORLD_OBS=0]) mirrored into [server.cache.*] obs counters
-    for manifests and Prometheus. *)
+    The [server.cache.hits] / [.misses] / [.coalesced] / [.evictions]
+    counters are stored once, in the {!Obs.Metrics.registry} given to
+    {!create} (the owning server's own registry, live under
+    [SMALLWORLD_OBS=0]); the accessors below read that registry. *)
 
 type t
 
-val create : cap:int -> t
-(** LRU capacity in entries; [cap = 0] disables caching entirely
+val create : metrics:Obs.Metrics.registry -> cap:int -> t
+(** Registers the cache counters in [metrics].  [cap] is the LRU
+    capacity in entries; [cap = 0] disables caching entirely
     ({!find_or_compute} always computes, counters stay 0). *)
 
 val cap : t -> int
@@ -58,10 +60,6 @@ val hits : t -> int
 val misses : t -> int
 val coalesced : t -> int
 val evictions : t -> int
-
-val counter_pairs : t -> (string * int) list
-(** [server.cache.hits] / [.misses] / [.coalesced] / [.evictions] with
-    current values, for [health] / [stats-server] /manifest output. *)
 
 val size : t -> int
 (** Cached (completed) entries currently held. *)

@@ -424,7 +424,6 @@ let dispatch t conn ~payload ~codec =
       }
     in
     Queue.push job t.jobs;
-    Exec.note_queue_depth t.ex (Queue.length t.jobs);
     Condition.signal t.qcond;
     Mutex.unlock t.qmutex;
     conn.c_inflight <- true;
@@ -793,7 +792,6 @@ let worker_loop t =
     match Queue.take_opt t.jobs with
     | None -> Mutex.unlock t.qmutex  (* draining and nothing queued: exit *)
     | Some job ->
-        Exec.note_queue_depth t.ex (Queue.length t.jobs);
         Mutex.unlock t.qmutex;
         if Exec.draining t.ex then refuse_job t job else process t job;
         next ()
@@ -829,17 +827,7 @@ let serve_admin_connection t fd =
     | Ok env -> (
         match env.V1.request with
         | V1.Server_stats -> { (stats_reply t) with V1.reply_id = env.id }
-        | V1.Health ->
-            {
-              V1.reply_id = env.id;
-              response =
-                V1.Health_reply
-                  {
-                    V1.draining = Exec.draining t.ex;
-                    instances = Registry.names (Exec.registry t.ex);
-                    counters = Exec.counter_pairs t.ex;
-                  };
-            }
+        | V1.Health -> { V1.reply_id = env.id; response = V1.Health_reply (Exec.health t.ex) }
         | _ -> { V1.reply_id = env.id; response = V1.Failed admin_restricted })
   in
   let handle_http line =
@@ -849,12 +837,10 @@ let serve_admin_connection t fd =
     let body =
       match path with
       | "/metrics" ->
-          (* server_stats refreshes the gauge mirrors the dump carries. *)
-          let _ = Exec.server_stats t.ex in
           Some
             (http_response ~status:"200 OK"
                ~content_type:"text/plain; version=0.0.4"
-               (Obs.Export.prometheus Obs.Metrics.default))
+               (Exec.prometheus t.ex))
       | "/" | "/stats" | "/stats-server" ->
           Some
             (http_response ~status:"200 OK" ~content_type:"application/json"
@@ -900,7 +886,7 @@ let write_manifest t =
   Option.iter
     (fun path ->
       let extra =
-        List.map (fun (k, v) -> (k, Obs.Export.Int v)) (Exec.counter_pairs t.ex)
+        List.map (fun (k, v) -> (k, Obs.Export.value_to_json v)) (Exec.snapshot t.ex)
       in
       Out_channel.with_open_text path (fun oc ->
           output_string oc

@@ -18,25 +18,20 @@ type t = {
   drain_flag : bool Atomic.t;
   t_start : float;
   next_id : int Atomic.t;
-  c_accepted : int Atomic.t;
-  c_served : int Atomic.t;
-  c_rejected : int Atomic.t;
-  c_deadline : int Atomic.t;
   c_inflight : int Atomic.t;
   (* Authoritative queue depth comes from the transport (the daemon
      owns the connection queue); defaults to 0 when embedded without
      one.  Set once before serving starts. *)
   mutable queue_depth_source : unit -> int;
-  (* Obs mirrors: no-ops under SMALLWORLD_OBS=0, live in manifests. *)
-  m_accepted : Obs.Metrics.counter;
-  m_served : Obs.Metrics.counter;
-  m_rejected : Obs.Metrics.counter;
-  m_deadline : Obs.Metrics.counter;
-  m_inflight : Obs.Metrics.gauge;
-  m_queue_depth : Obs.Metrics.gauge;
-  m_reg_size : Obs.Metrics.gauge;
-  m_reg_pinned : Obs.Metrics.gauge;
-  m_reg_orphaned : Obs.Metrics.gauge;
+  (* This server's own registry, live whatever SMALLWORLD_OBS says:
+     the one cell of every server.* counter and state gauge. *)
+  metrics : Obs.Metrics.registry;
+  accepted : Obs.Metrics.counter;
+  served : Obs.Metrics.counter;
+  rejected : Obs.Metrics.counter;
+  deadline_missed : Obs.Metrics.counter;
+  (* Process-wide histograms in Obs.Metrics.default, on the kill
+     switch. *)
   h_queue_wait : Obs.Metrics.histogram;
   h_compute : Obs.Metrics.histogram;
   h_render : Obs.Metrics.histogram;
@@ -50,29 +45,23 @@ type t = {
 }
 
 let create ?(registry_cap = 8) ?(max_batch = 4096) ?(cache_cap = 4096) () =
+  let metrics = Obs.Metrics.create () in
+  let counter name = Obs.Metrics.counter ~registry:metrics name in
   {
     reg = Registry.create ~cap:registry_cap;
-    cache = Cache.create ~cap:cache_cap;
+    cache = Cache.create ~metrics ~cap:cache_cap;
     compute = Mutex.create ();
     max_batch;
     drain_flag = Atomic.make false;
     t_start = Unix.gettimeofday ();
     next_id = Atomic.make 1;
-    c_accepted = Atomic.make 0;
-    c_served = Atomic.make 0;
-    c_rejected = Atomic.make 0;
-    c_deadline = Atomic.make 0;
     c_inflight = Atomic.make 0;
     queue_depth_source = (fun () -> 0);
-    m_accepted = Obs.Metrics.counter "server.accepted";
-    m_served = Obs.Metrics.counter "server.served";
-    m_rejected = Obs.Metrics.counter "server.rejected";
-    m_deadline = Obs.Metrics.counter "server.deadline_missed";
-    m_inflight = Obs.Metrics.gauge "server.inflight";
-    m_queue_depth = Obs.Metrics.gauge "server.queue_depth";
-    m_reg_size = Obs.Metrics.gauge "server.registry.size";
-    m_reg_pinned = Obs.Metrics.gauge "server.registry.pinned";
-    m_reg_orphaned = Obs.Metrics.gauge "server.registry.orphaned";
+    metrics;
+    accepted = counter "server.accepted";
+    served = counter "server.served";
+    rejected = counter "server.rejected";
+    deadline_missed = counter "server.deadline_missed";
     h_queue_wait = Obs.Metrics.histogram "server.stage.queue_wait";
     h_compute = Obs.Metrics.histogram "server.stage.compute";
     h_render = Obs.Metrics.histogram "server.stage.render";
@@ -92,40 +81,20 @@ let cache t = t.cache
 let draining t = Atomic.get t.drain_flag
 let start_drain t = Atomic.set t.drain_flag true
 
-let accepted t = Atomic.get t.c_accepted
-let served t = Atomic.get t.c_served
-let rejected t = Atomic.get t.c_rejected
-let deadline_missed t = Atomic.get t.c_deadline
-
-let note_accepted t =
-  Atomic.incr t.c_accepted;
-  Obs.Metrics.incr t.m_accepted
-
-let note_rejected t =
-  Atomic.incr t.c_rejected;
-  Obs.Metrics.incr t.m_rejected
-
-let note_served t =
-  Atomic.incr t.c_served;
-  Obs.Metrics.incr t.m_served
-
-let note_deadline t =
-  Atomic.incr t.c_deadline;
-  Obs.Metrics.incr t.m_deadline
+let accepted t = Obs.Metrics.counter_value t.accepted
+let served t = Obs.Metrics.counter_value t.served
+let rejected t = Obs.Metrics.counter_value t.rejected
+let deadline_missed t = Obs.Metrics.counter_value t.deadline_missed
+let note_accepted t = Obs.Metrics.incr t.accepted
+let note_rejected t = Obs.Metrics.incr t.rejected
+let note_served t = Obs.Metrics.incr t.served
+let note_deadline t = Obs.Metrics.incr t.deadline_missed
 
 let next_request_id t = Atomic.fetch_and_add t.next_id 1
 let inflight t = Atomic.get t.c_inflight
-
-let begin_request t =
-  let n = Atomic.fetch_and_add t.c_inflight 1 + 1 in
-  Obs.Metrics.set t.m_inflight (float_of_int n)
-
-let end_request t =
-  let n = Atomic.fetch_and_add t.c_inflight (-1) - 1 in
-  Obs.Metrics.set t.m_inflight (float_of_int n)
-
+let begin_request t = Atomic.incr t.c_inflight
+let end_request t = Atomic.decr t.c_inflight
 let set_queue_depth_source t f = t.queue_depth_source <- f
-let note_queue_depth t n = Obs.Metrics.set t.m_queue_depth (float_of_int n)
 let note_queue_wait t dt = Obs.Metrics.observe t.h_queue_wait dt
 
 let observe_stages t ?op ~compute ~render ~write () =
@@ -148,14 +117,39 @@ let observe_gc t ~minor_words ~major_words ~collections =
   Obs.Metrics.observe t.h_gc_major major_words;
   Obs.Metrics.observe t.h_gc_coll (float_of_int collections)
 
-let counter_pairs t =
-  [
-    ("server.accepted", accepted t);
-    ("server.served", served t);
-    ("server.rejected", rejected t);
-    ("server.deadline_missed", deadline_missed t);
-  ]
-  @ Cache.counter_pairs t.cache
+(* The one read path of the server's telemetry: the registry's
+   counters plus the state gauges read from their owners, in name
+   order.  The gauges are never stored, so concurrent snapshots cannot
+   see each other's reads. *)
+let snapshot t =
+  let gauges =
+    List.map
+      (fun (name, v) -> (name, Obs.Metrics.Gauge_v (float_of_int v)))
+      [
+        ("server.queue_depth", t.queue_depth_source ());
+        ("server.inflight", inflight t);
+        ("server.registry.size", Registry.size t.reg);
+        ("server.registry.pinned", Registry.pinned t.reg);
+        ("server.registry.orphaned", Registry.orphaned t.reg);
+        ("server.registry.cap", Registry.cap t.reg);
+        ("server.cache.size", Cache.size t.cache);
+        ("server.cache.cap", Cache.cap t.cache);
+      ]
+  in
+  List.sort (fun (a, _) (b, _) -> String.compare a b) (gauges @ Obs.Metrics.snapshot t.metrics)
+
+let counters_of snap =
+  List.filter_map (function name, Obs.Metrics.Counter_v n -> Some (name, n) | _ -> None) snap
+
+let counter_pairs t = counters_of (Obs.Metrics.snapshot t.metrics)
+
+let prometheus_of snap =
+  Obs.Export.prometheus_of_snapshot snap ^ Obs.Export.prometheus Obs.Metrics.default
+
+let prometheus t = prometheus_of (snapshot t)
+
+let health t =
+  { V1.draining = draining t; instances = Registry.names t.reg; counters = counter_pairs t }
 
 let locked m f =
   Mutex.lock m;
@@ -181,24 +175,13 @@ let stage_names =
   @ List.map (fun op -> "latency." ^ metric_op_suffix op) all_ops
 
 (* Assembled without the compute mutex, so a scrape answers even while
-   a long batch holds it.  Counters and gauges come from the
-   authoritative atomics (real numbers under SMALLWORLD_OBS=0 too);
-   stage quantiles come from the Obs.Hist-backed histograms, which are
+   a long batch holds it.  Counters and gauges come from the server's
+   own registry (real numbers under SMALLWORLD_OBS=0 too); stage
+   quantiles come from the Obs.Hist-backed histograms, which are
    zeroed no-op stubs when obs is off — [obs_live] tells the client
    which regime it is reading. *)
 let server_stats t =
-  let queue_depth = t.queue_depth_source () in
-  let infl = inflight t in
-  let reg_size = Registry.size t.reg in
-  let reg_pinned = Registry.pinned t.reg in
-  let reg_orphaned = Registry.orphaned t.reg in
-  (* Refresh the gauge mirrors so the Prometheus dump below carries
-     current values. *)
-  note_queue_depth t queue_depth;
-  Obs.Metrics.set t.m_inflight (float_of_int infl);
-  Obs.Metrics.set t.m_reg_size (float_of_int reg_size);
-  Obs.Metrics.set t.m_reg_pinned (float_of_int reg_pinned);
-  Obs.Metrics.set t.m_reg_orphaned (float_of_int reg_orphaned);
+  let snap = snapshot t in
   let stages =
     List.filter_map
       (fun stage ->
@@ -222,24 +205,15 @@ let server_stats t =
     V1.uptime_s = Unix.gettimeofday () -. t.t_start;
     s_draining = draining t;
     obs_live = Obs.Metrics.enabled;
-    s_counters = counter_pairs t;
+    s_counters = counters_of snap;
     gauges =
-      [
-        ("server.queue_depth", float_of_int queue_depth);
-        ("server.inflight", float_of_int infl);
-        ("server.registry.size", float_of_int reg_size);
-        ("server.registry.pinned", float_of_int reg_pinned);
-        ("server.registry.orphaned", float_of_int reg_orphaned);
-        ("server.registry.cap", float_of_int (Registry.cap t.reg));
-        ("server.cache.size", float_of_int (Cache.size t.cache));
-        ("server.cache.cap", float_of_int (Cache.cap t.cache));
-      ]
+      List.filter_map (function name, Obs.Metrics.Gauge_v x -> Some (name, x) | _ -> None) snap
       @ List.map
           (fun (name, gen) ->
             ("server.registry.gen." ^ name, float_of_int gen))
           (Registry.generations t.reg);
     stages;
-    prometheus = Obs.Export.prometheus Obs.Metrics.default;
+    prometheus = prometheus_of snap;
   }
 
 let run t ?deadline request =
@@ -441,13 +415,7 @@ let run t ?deadline request =
                     ch_generation = Registry.generation t.reg instance;
                     ch_rows = rows;
                   })
-    | V1.Health ->
-        V1.Health_reply
-          {
-            V1.draining = draining t;
-            instances = Registry.names t.reg;
-            counters = counter_pairs t;
-          }
+    | V1.Health -> V1.Health_reply (health t)
     | V1.Server_stats -> V1.Server_stats_reply (server_stats t)
     | V1.Drain ->
         start_drain t;

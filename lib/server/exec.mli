@@ -1,13 +1,20 @@
 (** Request execution: one v1 request in, one v1 response out.
 
     This layer owns everything below the wire: the registry, the
-    drain flag, the always-live request counters (plain atomics, so
-    [health] reports real numbers even under [SMALLWORLD_OBS=0]; the
-    obs layer mirrors them for manifests), and the compute lock that
-    serialises work entering the shared {!Parallel.Global} pool —
+    drain flag, the server's telemetry registry, and the compute lock
+    that serialises work entering the shared {!Parallel.Global} pool —
     [Pool.run] must not be called concurrently from two domains, so
     [sample] and [route_batch] take the lock while single routes and
-    lookups run lock-free in parallel. *)
+    lookups run lock-free in parallel.
+
+    Each server owns one live {!Obs.Metrics.registry}, exempt from
+    [SMALLWORLD_OBS].  Every [server.*] counter (its own and the
+    route cache's) is stored there once; the state gauges are read
+    from their owners at snapshot time and never stored.  [health],
+    [stats-server], the Prometheus text and the drain manifest all
+    read the same {!snapshot}.  Two servers in one process never share a
+    count.  Only the stage, latency and GC histograms live in
+    {!Obs.Metrics.default}, on the kill switch. *)
 
 type t
 
@@ -41,16 +48,29 @@ val note_rejected : t -> unit
     draining) without reading a request. *)
 
 val counter_pairs : t -> (string * int) list
-(** The snapshot [health] replies carry, and the [extra] fields of the
-    drain manifest: [server.accepted], [server.served],
-    [server.rejected], [server.deadline_missed], plus the
-    [server.cache.*] hit/miss/coalesced/eviction counters. *)
+(** Every counter of the server registry, in name order — the
+    snapshot [health] replies carry: [server.accepted],
+    [server.served], [server.rejected], [server.deadline_missed] and
+    the [server.cache.*] hit/miss/coalesced/eviction counters. *)
+
+val snapshot : t -> (string * Obs.Metrics.value) list
+(** The counters of {!counter_pairs} plus the state gauges
+    ([server.queue_depth], [server.inflight],
+    [server.registry.size/pinned/orphaned/cap],
+    [server.cache.size/cap]) read from their owners at the call, in
+    name order.  The gauges are never stored.  [stats-server], the
+    Prometheus text and the [extra] fields of the drain manifest are
+    all built from one such snapshot. *)
+
+val health : t -> Api.V1.health_reply
+(** The [health] reply, for the main and the admin plane alike. *)
 
 (** {1 Request tracing}
 
     Called by the transport around each request so the telemetry plane
     sees per-request ids, in-flight depth and per-stage timings.  All
-    of it is cheap: ids and the in-flight count are plain atomics;
+    of it is cheap: ids and the in-flight count are plain atomics (the
+    [server.inflight] gauge reads the latter at snapshot time);
     stage histograms are {!Obs.Metrics} handles, i.e. no-op stubs
     under [SMALLWORLD_OBS=0]. *)
 
@@ -81,18 +101,21 @@ val observe_gc : t -> minor_words:float -> major_words:float -> collections:int 
     serving path performs no GC introspection at all. *)
 
 val set_queue_depth_source : t -> (unit -> int) -> unit
-(** Install the transport's live queue-depth reader (called by
-    [stats-server]); defaults to a constant 0.  Set before serving
-    starts. *)
-
-val note_queue_depth : t -> int -> unit
-(** Mirror the current queue depth into the [server.queue_depth]
-    gauge. *)
+(** Install the transport's live queue-depth reader (read for the
+    [server.queue_depth] gauge at each snapshot); defaults to a
+    constant 0.  Set before serving starts. *)
 
 val server_stats : t -> Api.V1.server_stats_reply
-(** The [stats-server] snapshot: uptime, drain state, counters,
-    gauges, per-stage latency quantiles, and a Prometheus text dump.
-    Never takes the compute mutex, so it answers under full load. *)
+(** The [stats-server] snapshot: uptime, drain state, counters and
+    gauges in name order (plus a computed
+    [server.registry.gen.<name>] gauge per instance), per-stage
+    latency quantiles, and the {!prometheus} text of the same
+    snapshot.  Never takes the compute mutex, so it answers under full
+    load. *)
+
+val prometheus : t -> string
+(** Prometheus text: one {!snapshot}, followed by
+    {!Obs.Metrics.default}. *)
 
 (** {1 Execution} *)
 

@@ -31,9 +31,10 @@ Connects to a running `serve` daemon on 127.0.0.1:PORT (started with
 - stats-server mid-run: counters consistent with the driven mix,
   gauges present, and (when the daemon runs with obs on) per-stage
   latency quantiles with p50 <= p99 and non-zero counts;
-- with --admin: HTTP GET /metrics (Prometheus text, cumulative
-  `_bucket{le=` lines) and GET /stats on the admin port, plus the rule
-  that compute ops are refused there;
+- with --admin: HTTP GET /metrics (Prometheus text with the server
+  counters in both obs modes, cumulative `_bucket{le=` lines when obs
+  is on) and GET /stats on the admin port, plus the rule that compute
+  ops are refused there;
 - health again: the counter snapshot saw every request;
 - drain: acknowledged, connection closes (skipped when `nodrain` is
   given, so the harness can exercise SIGTERM instead);
@@ -271,6 +272,8 @@ def check_server_stats(stats, when):
         sys.exit(f"stats-server ({when}): inflight gauge lost this request")
     if stats["gauges"]["server.registry.size"] < 1:
         sys.exit(f"stats-server ({when}): preloaded instance not in registry gauge")
+    if "smallworld_server_accepted" not in stats.get("prometheus", ""):
+        sys.exit(f"stats-server ({when}): prometheus dump lacks the counters")
     if stats["obs_live"]:
         stages = {s["stage"]: s for s in stats["stages"]}
         for name in ("stage.compute", "stage.render", "stage.write"):
@@ -283,8 +286,6 @@ def check_server_stats(stats, when):
                 sys.exit(f"stats-server ({when}): unordered quantiles: {st!r}")
         if stages.get("latency.route", {}).get("count", 0) < 1:
             sys.exit(f"stats-server ({when}): route latency histogram is empty")
-        if "smallworld_server_accepted" not in stats.get("prometheus", ""):
-            sys.exit(f"stats-server ({when}): prometheus dump lacks the counters")
     return counters
 
 
@@ -547,20 +548,19 @@ def main():
         status, body = http_get(admin_port, "/metrics")
         if "200" not in status:
             sys.exit(f"admin /metrics: expected 200, got {status!r}")
-        if mid["obs_live"]:
-            if "smallworld_server_accepted" not in body:
-                sys.exit("admin /metrics: missing the server counters")
-            if "_bucket{le=" not in body:
-                sys.exit("admin /metrics: no cumulative histogram buckets")
-            # The cache-hit leg ran before this scrape: the Prometheus
-            # mirror of server.cache.hits must be non-zero.
-            hits_line = next(
-                (l for l in body.splitlines()
-                 if l.startswith("smallworld_server_cache_hits")), None)
-            if hits_line is None:
-                sys.exit("admin /metrics: no cache-hit counter")
-            if float(hits_line.split()[-1]) < 2:
-                sys.exit(f"admin /metrics: cache hits not visible: {hits_line!r}")
+        if "smallworld_server_accepted" not in body:
+            sys.exit("admin /metrics: missing the server counters")
+        # The cache-hit leg ran before this scrape: server.cache.hits
+        # must be non-zero in the Prometheus text too.
+        hits_line = next(
+            (l for l in body.splitlines()
+             if l.startswith("smallworld_server_cache_hits")), None)
+        if hits_line is None:
+            sys.exit("admin /metrics: no cache-hit counter")
+        if float(hits_line.split()[-1]) < 2:
+            sys.exit(f"admin /metrics: cache hits not visible: {hits_line!r}")
+        if mid["obs_live"] and "_bucket{le=" not in body:
+            sys.exit("admin /metrics: no cumulative histogram buckets")
         status, body = http_get(admin_port, "/stats")
         if "200" not in status:
             sys.exit(f"admin /stats: expected 200, got {status!r}")

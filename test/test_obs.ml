@@ -128,7 +128,7 @@ let spin_allocate () =
 let with_fresh_trace f =
   (* Tests share the process-global trace; isolate and restore nothing —
      each test clears before use. *)
-  Obs.Trace.clear ();
+  Obs.Span.clear_roots ();
   f ()
 
 let test_span_nesting_and_rollup () =
@@ -164,7 +164,7 @@ let test_span_nesting_and_rollup () =
             Alcotest.(check bool) "self time non-negative" true (S.self_s sp >= 0.0);
             Alcotest.(check bool) "allocation recorded" true (child.S.alloc_bytes > 0.0);
             Alcotest.(check bool) "root collected" true
-              (List.memq sp (Obs.Trace.roots ())))
+              (List.memq sp (Obs.Span.roots ())))
 
 let test_span_root_merge () =
   if not S.enabled then ()
@@ -176,7 +176,7 @@ let test_span_root_merge () =
         | Some a, Some b ->
             Alcotest.(check bool) "merged into one root" true (a == b);
             Alcotest.(check int) "count 2" 2 a.S.count;
-            Alcotest.(check int) "one root" 1 (List.length (Obs.Trace.roots ()))
+            Alcotest.(check int) "one root" 1 (List.length (Obs.Span.roots ()))
         | _ -> Alcotest.fail "expected spans when enabled")
 
 let test_span_exception_safe () =
@@ -191,7 +191,7 @@ let test_span_exception_safe () =
         | Some s ->
             Alcotest.(check string) "new root unaffected" "t.after" s.S.name;
             Alcotest.(check bool) "failed span still collected" true
-              (Obs.Trace.find "t.raises" <> None)
+              (List.exists (fun (r : S.t) -> r.S.name = "t.raises") (S.roots ()))
         | None -> Alcotest.fail "expected a span")
 
 (* ------------------------------------------------------------------ *)

@@ -20,7 +20,7 @@ let span ?(count = 1) ?(wall = 0.0) ?(alloc = 0.0) ?(children = []) name =
 (* Span.probe                                                          *)
 
 let test_probe_semantics () =
-  Obs.Trace.clear ();
+  Obs.Span.clear_roots ();
   let v, t1 =
     S.probe ~name:"probe.test" (fun () ->
         S.with_ ~name:"probe.child" (fun () -> ());
@@ -40,7 +40,7 @@ let test_probe_semantics () =
     Alcotest.(check bool) "wall clock ran" true (t1.S.wall_s >= 0.0);
     (* A second same-name probe merges into the global profile... *)
     let _, t2 = S.probe ~name:"probe.test" (fun () -> ()) in
-    (match Obs.Trace.find "probe.test" with
+    (match List.find_opt (fun (r : S.t) -> r.S.name = "probe.test") (S.roots ()) with
     | Some root -> Alcotest.(check int) "global profile merged both" 2 root.S.count
     | None -> Alcotest.fail "probe did not land in the global roots");
     (* ...while each captured tree stays frozen at its own invocation
@@ -49,7 +49,7 @@ let test_probe_semantics () =
     (match t2 with
     | Some t2 -> Alcotest.(check int) "second snapshot frozen" 1 t2.S.count
     | None -> Alcotest.fail "second probe lost its tree");
-    Obs.Trace.clear ()
+    Obs.Span.clear_roots ()
   end
 
 let test_copy_is_deep () =

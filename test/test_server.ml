@@ -886,7 +886,7 @@ let test_cache_single_flight () =
     | Ok r -> V1.Routed r
     | Error e -> Alcotest.failf "local route failed: %s" (E.to_string e)
   in
-  let cache = Server.Cache.create ~cap:4 in
+  let cache = Server.Cache.create ~metrics:(Obs.Metrics.create ()) ~cap:4 in
   let computes = Atomic.make 0 in
   let compute () =
     Atomic.incr computes;
@@ -908,7 +908,7 @@ let test_cache_single_flight () =
     (Server.Cache.hits cache + Server.Cache.coalesced cache);
   (* A failed leader releases its followers and the first retries as
      the new leader — failures are never shared or cached. *)
-  let cache2 = Server.Cache.create ~cap:4 in
+  let cache2 = Server.Cache.create ~metrics:(Obs.Metrics.create ()) ~cap:4 in
   let calls = Atomic.make 0 in
   let flaky () =
     if Atomic.fetch_and_add calls 1 = 0 then begin
@@ -944,7 +944,7 @@ let test_cache_if_gates_store () =
     | Ok r -> V1.Routed r
     | Error e -> Alcotest.failf "local route failed: %s" (E.to_string e)
   in
-  let cache = Server.Cache.create ~cap:4 in
+  let cache = Server.Cache.create ~metrics:(Obs.Metrics.create ()) ~cap:4 in
   let computes = ref 0 in
   let compute () = incr computes; routed in
   let stale = Server.Cache.find_or_compute cache ~cache_if:(fun _ -> false) ~key:"k" compute in
@@ -1193,6 +1193,20 @@ let substr hay needle =
   let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
   at 0
 
+(* The value of one unlabelled sample line ("smallworld_<name> <v>")
+   in a Prometheus text dump. *)
+let prom_value text name =
+  let pname =
+    "smallworld_"
+    ^ String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_') name
+  in
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = pname -> float_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
 let test_admin_port () =
   with_daemon ~admin_port:0 (fun t port ->
       let admin =
@@ -1221,12 +1235,17 @@ let test_admin_port () =
       let dump = recv_all fd in
       Unix.close fd;
       Alcotest.(check bool) "/metrics is 200" true (substr dump "HTTP/1.0 200 OK");
-      if Obs.Metrics.enabled then begin
-        Alcotest.(check bool) "/metrics has the accepted counter" true
-          (substr dump "smallworld_server_accepted");
+      Alcotest.(check bool) "/metrics has the accepted counter" true
+        (substr dump "smallworld_server_accepted");
+      (* Server counters and gauges are live in both obs modes and need
+         no stats-server call before the scrape. *)
+      Alcotest.(check (option (float 0.0))) "/metrics accepted" (Some 1.0)
+        (prom_value dump "server.accepted");
+      Alcotest.(check (option (float 0.0))) "/metrics registry size" (Some 1.0)
+        (prom_value dump "server.registry.size");
+      if Obs.Metrics.enabled then
         Alcotest.(check bool) "/metrics has cumulative buckets" true
-          (substr dump "_bucket{le=")
-      end;
+          (substr dump "_bucket{le=");
       (* HTTP: unknown path is a 404. *)
       let fd = connect admin in
       send_all fd "GET /nope HTTP/1.0\r\n\r\n";
@@ -1248,6 +1267,65 @@ let test_admin_port () =
          sample request above was accepted. *)
       let ex = Server.Daemon.exec t in
       Alcotest.(check int) "admin requests uncounted" 1 (Server.Exec.accepted ex))
+
+(* Two servers in one process keep separate counts, and each one's
+   stats-server reply agrees with its own Prometheus text: every
+   counter and state gauge has one storage cell, which every reader
+   shares, in both obs modes. *)
+let test_server_telemetry_one_cell () =
+  let drive ex ~seed ~pair ~routes =
+    let handle req =
+      Server.Exec.note_accepted ex;
+      Server.Exec.handle ex req
+    in
+    (match handle (sample_req "net" seed) with
+    | V1.Sampled _ -> ()
+    | r -> check_code "sample" E.Internal r);
+    for _ = 1 to routes do
+      ignore (routed_text "route" (handle (route_req "net" pair)))
+    done;
+    ignore (routed_text "other route" (handle (route_req "net" (2, 3))));
+    Server.Exec.note_accepted ex;
+    check_code "expired deadline" E.Deadline
+      (Server.Exec.handle ex ~deadline:(Unix.gettimeofday ()) (route_req "net" pair))
+  in
+  let a = Server.Exec.create ~cache_cap:8 () in
+  let b = Server.Exec.create ~cache_cap:8 () in
+  drive a ~seed:1 ~pair:(0, 1) ~routes:2;
+  drive b ~seed:2 ~pair:(4, 5) ~routes:5;
+  List.iter
+    (fun (what, ex, routes) ->
+      let s = Server.Exec.server_stats ex in
+      (* sample + [routes] + one other route + the deadline miss *)
+      Alcotest.(check int) (what ^ " accepted") (routes + 3) (counter_of s "server.accepted");
+      Alcotest.(check int) (what ^ " served") (routes + 2) (counter_of s "server.served");
+      Alcotest.(check int) (what ^ " deadline") 1 (counter_of s "server.deadline_missed");
+      Alcotest.(check int) (what ^ " cache hits") (routes - 1) (counter_of s "server.cache.hits");
+      Alcotest.(check int) (what ^ " cache misses") 2 (counter_of s "server.cache.misses");
+      let agrees kind (name, v) =
+        match prom_value s.V1.prometheus name with
+        | Some p -> Alcotest.(check (float 0.0)) (Printf.sprintf "%s %s %s" what kind name) v p
+        | None -> Alcotest.failf "%s: %s %s missing from the prometheus text" what kind name
+      in
+      List.iter (fun (n, v) -> agrees "counter" (n, float_of_int v)) s.V1.s_counters;
+      List.iter
+        (fun ((n, _) as g) ->
+          if not (String.starts_with ~prefix:"server.registry.gen." n) then agrees "gauge" g)
+        s.V1.gauges)
+    [ ("a", a, 2); ("b", b, 5) ];
+  (* The text the admin /metrics path renders pulls the state gauges
+     itself, with no stats-server call before it. *)
+  let c = Server.Exec.create () in
+  (match Server.Exec.handle c (sample_req "net" 3) with
+  | V1.Sampled _ -> ()
+  | r -> check_code "sample" E.Internal r);
+  Server.Exec.begin_request c;
+  let text = Server.Exec.prometheus c in
+  Server.Exec.end_request c;
+  Alcotest.(check (option (float 0.0))) "inflight in /metrics text" (Some 1.0)
+    (prom_value text "server.inflight");
+  Alcotest.(check (option (float 0.0))) "registry size in /metrics text" (Some 1.0)
+    (prom_value text "server.registry.size")
 
 let test_access_log_sampling_unit () =
   let path = Filename.temp_file "smallworld_access" ".jsonl" in
@@ -1370,7 +1448,11 @@ let test_manifest_on_request () =
               wait ()
             end
           in
-          wait ()))
+          wait ();
+          (* The manifest carries the state gauges of the same snapshot. *)
+          Alcotest.(check bool) "manifest carries server gauges" true
+            (substr (In_channel.with_open_text path In_channel.input_all)
+               "\"server.registry.size\"")))
 
 let test_daemon_trace_roundtrip () =
   (* End to end through the distributed-trace plumbing: a client-traced
@@ -1607,6 +1689,8 @@ let suite =
       test_server_stats_under_load;
     Alcotest.test_case "admin port: HTTP scrape + restricted JSON" `Quick
       test_admin_port;
+    Alcotest.test_case "server telemetry: one cell per counter, per server" `Quick
+      test_server_telemetry_one_cell;
     Alcotest.test_case "access log sampling is deterministic" `Quick
       test_access_log_sampling_unit;
     Alcotest.test_case "daemon writes the access log" `Quick test_daemon_access_log;
