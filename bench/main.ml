@@ -1,22 +1,14 @@
-(* Benchmark / reproduction harness.
-
-   Default mode — Phase 1 regenerates every experiment table of the paper
-   reproduction (E1-E17, cf. DESIGN.md section 3 and EXPERIMENTS.md) at
-   Standard scale; set SMALLWORLD_BENCH_QUICK=1 for a fast smoke run.
-   Each experiment is timed with Obs.Span (its phase tree is printed
-   under the tables), and with `--obs-out FILE` a JSONL run manifest —
-   span tree plus metric snapshot per experiment — is written alongside,
-   so successive bench runs are diffable at phase granularity.  Phase 2
-   runs Bechamel micro-benchmarks: one Test.make per experiment kernel
-   (a miniature version of its workload) plus the core operations
-   (generators, routing protocols, BFS).
+(* Benchmark telemetry harness.  The paper-reproduction tables are
+   printed by `experiments_cli run`; this binary records, compares and
+   sweeps their cost.
 
    Record/diff modes — continuous-benchmark telemetry over the
    smallworld.bench.v1 schema (Obs.Bench): `record` runs each experiment
    k times (plus the text-vs-binary snapshot-load pair) and writes
    BENCH_<label>.json (median/min wall time, allocated bytes, counter
    snapshots, git revision); `diff` compares two such files and exits
-   non-zero on a noise-adjusted median regression.
+   non-zero on a noise-adjusted median regression.  Set
+   SMALLWORLD_BENCH_QUICK=1 to record at Quick scale.
 
    Scale mode — the out-of-core axis: for each n (doubling from --n,
    fixed seed) the sweep runs generate (heap cell sampler), spill
@@ -26,7 +18,6 @@
    schema, so `diff` gates the memory ceiling alongside time and
    allocation (--rss-threshold).
 
-     dune exec bench/main.exe -- [--obs-out FILE] [--jobs N]
      dune exec bench/main.exe -- record [--runs K] [--label L] [--seed N]
                                         [--out FILE] [--jobs N]
      dune exec bench/main.exe -- scale [--n N] [--doublings K] [--shards S]
@@ -40,9 +31,6 @@
    --jobs N (0 = all cores) sizes the shared Parallel pool; otherwise
    SMALLWORLD_JOBS applies.  Reports remember the job count and `diff`
    refuses to compare reports recorded at different counts.  *)
-
-open Bechamel
-open Toolkit
 
 (* All fatal exits go through the shared error taxonomy so bench and the
    route server agree on codes: perf-regression -> 1, caller errors
@@ -60,14 +48,6 @@ let scale =
   | Some ("1" | "true" | "yes") -> Experiments.Context.Quick
   | Some _ | None -> Experiments.Context.Standard
 
-let obs_out =
-  let rec scan = function
-    | "--obs-out" :: path :: _ -> Some path
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
-
 (* Resolve --jobs (0 = all cores) before anything touches the shared
    pool; without the flag the pool falls back to SMALLWORLD_JOBS. *)
 let () =
@@ -83,211 +63,50 @@ let () =
 
 let seed = 42
 
-let run_experiment_tables () =
-  print_endline "==============================================================";
-  print_endline " Phase 1: paper-reproduction tables (one block per experiment)";
-  print_endline "==============================================================\n";
-  let ctx = Experiments.Context.make ~seed ~scale () in
-  let manifest_oc = Option.map open_out obs_out in
-  List.iter
-    (fun e ->
-      (* Fresh counters, trace and event buffer per experiment so the
-         manifest line (and the printed tree) attribute to this
-         experiment alone. *)
-      Obs.Metrics.reset Obs.Metrics.default;
-      Obs.Span.clear_roots ();
-      Obs.Events.clear ();
-      let tables, span = Experiments.Registry.run_traced e ctx in
-      print_string (Experiments.Registry.render_header e);
-      List.iter (fun t -> print_string (Stats.Table.render t); print_newline ()) tables;
-      (match span with
-      | Some s ->
-          print_string (Obs.Export.span_table s);
-          Printf.printf "(%s finished in %.1fs)\n\n%!" e.Experiments.Registry.id s.Obs.Span.wall_s
-      | None ->
-          Printf.printf "(%s finished; timing disabled via SMALLWORLD_OBS=0)\n\n%!"
-            e.Experiments.Registry.id);
-      Option.iter
-        (fun oc ->
-          output_string oc
-            (Obs.Export.manifest_line ~experiment:e.Experiments.Registry.id ~seed
-               ~scale:(Experiments.Context.scale_name ctx)
-               ~registry:Obs.Metrics.default ~span ());
-          output_char oc '\n';
-          flush oc)
-        manifest_oc)
-    Experiments.Registry.all;
-  Option.iter close_out manifest_oc;
-  Option.iter (Printf.printf "run manifest written to %s\n\n%!") obs_out
-
-(* ------------------------------------------------------------------ *)
-(* Phase 2: Bechamel micro-benchmarks                                   *)
-
-(* Shared fixtures, built once outside the timed region. *)
-let fixture_girg =
-  lazy
-    (let params = Girg.Params.make ~dim:2 ~beta:2.5 ~c:0.15 ~n:20_000 () in
-     let inst = Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:3) params in
-     let giant =
-       Sparse_graph.Components.giant_members (Sparse_graph.Components.compute inst.graph)
-     in
-     (inst, giant))
-
-let fixture_sparse_girg =
-  lazy
-    (let params = Girg.Params.make ~dim:2 ~beta:2.6 ~c:0.07 ~w_min:0.6 ~n:20_000 () in
-     let inst = Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:4) params in
-     let giant =
-       Sparse_graph.Components.giant_members (Sparse_graph.Components.compute inst.graph)
-     in
-     (inst, giant))
-
-let fixture_hrg =
-  lazy (Hyperbolic.Hrg.generate ~rng:(Prng.Rng.create ~seed:5)
-          (Hyperbolic.Hrg.make ~alpha_h:0.75 ~radius_c:(-1.0) ~n:20_000 ()))
-
-let route_bench ~name ~protocol ~sparse =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let inst, giant = Lazy.force (if sparse then fixture_sparse_girg else fixture_girg) in
-         let rng = Prng.Rng.create ~seed:(Hashtbl.hash name) in
-         let i, j = Prng.Dist.sample_distinct_pair rng ~n:(Array.length giant) in
-         let objective = Greedy_routing.Objective.girg_phi inst ~target:giant.(j) in
-         ignore
-           (Greedy_routing.Protocol.run protocol ~graph:inst.graph ~objective
-              ~source:giant.(i) ())))
-
-(* One miniature kernel per (cheap enough) experiment id, so regressions in
-   any reproduced pipeline show up as timing changes here.  The heavyweight
-   sweep experiments are covered through their per-unit workloads below. *)
-let experiment_kernels =
-  let mini_ctx = Experiments.Context.make ~seed:1 ~scale:Experiments.Context.Quick () in
-  let kernel id =
-    match Experiments.Registry.find id with
-    | None -> failwith ("unknown experiment " ^ id)
-    | Some e -> Test.make ~name:("kernel/" ^ id) (Staged.stage (fun () -> ignore (e.run mini_ctx)))
+let flag_value args key =
+  let rec scan = function
+    | k :: v :: _ when k = key -> Some v
+    | _ :: rest -> scan rest
+    | [] -> None
   in
-  List.map kernel [ "E4"; "E5"; "E8"; "E9"; "E11"; "E12"; "E13"; "E15"; "E16"; "E17" ]
+  scan args
 
-let generator_benches =
-  [
-    Test.make ~name:"girg/cell n=10k d=2"
-      (Staged.stage (fun () ->
-           let params = Girg.Params.make ~dim:2 ~beta:2.5 ~c:0.15 ~n:10_000 () in
-           ignore
-             (Girg.Instance.generate ~sampler:Girg.Instance.Use_cell
-                ~rng:(Prng.Rng.create ~seed:11) params)));
-    Test.make ~name:"girg/naive n=1k d=2"
-      (Staged.stage (fun () ->
-           let params = Girg.Params.make ~dim:2 ~beta:2.5 ~c:0.15 ~n:1000 () in
-           ignore
-             (Girg.Instance.generate ~sampler:Girg.Instance.Use_naive
-                ~rng:(Prng.Rng.create ~seed:12) params)));
-    Test.make ~name:"girg/cell n=10k threshold"
-      (Staged.stage (fun () ->
-           let params =
-             Girg.Params.make ~dim:2 ~beta:2.5 ~alpha:Girg.Params.Infinite ~c:0.15 ~n:10_000 ()
-           in
-           ignore (Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:13) params)));
-    Test.make ~name:"hrg/cell n=10k"
-      (Staged.stage (fun () ->
-           ignore
-             (Hyperbolic.Hrg.generate ~rng:(Prng.Rng.create ~seed:14)
-                (Hyperbolic.Hrg.make ~alpha_h:0.75 ~radius_c:(-1.0) ~n:10_000 ()))));
-    Test.make ~name:"chung_lu/n=30k"
-      (Staged.stage (fun () ->
-           ignore
-             (Girg.Chung_lu.generate_power_law
-                ~rng:(Prng.Rng.create ~seed:18) ~n:30_000 ~beta:2.5 ~w_min:2.0)));
-    Test.make ~name:"embed/tree-layout n=10k"
-      (Staged.stage (fun () ->
-           let h = Lazy.force fixture_hrg in
-           ignore
-             (Hyperbolic.Embed.infer ~rng:(Prng.Rng.create ~seed:19)
-                ~graph:h.Hyperbolic.Hrg.graph ())));
-    Test.make ~name:"kleinberg/side=64"
-      (Staged.stage (fun () ->
-           ignore
-             (Kleinberg.Lattice.generate ~rng:(Prng.Rng.create ~seed:15)
-                (Kleinberg.Lattice.make ~side:64 ()))));
-  ]
+let opt_value args key ~default = Option.value (flag_value args key) ~default
 
-let routing_benches =
-  [
-    route_bench ~name:"route/greedy dense" ~protocol:Greedy_routing.Protocol.Greedy ~sparse:false;
-    route_bench ~name:"route/phi-dfs sparse" ~protocol:Greedy_routing.Protocol.Patch_dfs
-      ~sparse:true;
-    route_bench ~name:"route/history sparse" ~protocol:Greedy_routing.Protocol.Patch_history
-      ~sparse:true;
-    route_bench ~name:"route/gravity sparse" ~protocol:Greedy_routing.Protocol.Gravity_pressure
-      ~sparse:true;
-    Test.make ~name:"route/hyperbolic greedy"
-      (Staged.stage (fun () ->
-           let h = Lazy.force fixture_hrg in
-           let rng = Prng.Rng.create ~seed:16 in
-           let s, t = Prng.Dist.sample_distinct_pair rng ~n:(Sparse_graph.Graph.n h.graph) in
-           let objective = Greedy_routing.Objective.hyperbolic h ~target:t in
-           ignore (Greedy_routing.Greedy.route ~graph:h.graph ~objective ~source:s ())));
-    Test.make ~name:"bfs/bidirectional pair"
-      (Staged.stage (fun () ->
-           let inst, giant = Lazy.force fixture_girg in
-           let rng = Prng.Rng.create ~seed:17 in
-           let i, j = Prng.Dist.sample_distinct_pair rng ~n:(Array.length giant) in
-           ignore (Sparse_graph.Bfs.distance inst.graph ~source:giant.(i) ~target:giant.(j))));
-  ]
+(* Numeric flags: [None] when absent; a value that does not parse or is
+   out of range is a usage error (exit 2). *)
+let numeric_arg parse ~valid ~what args key =
+  Option.map
+    (fun v ->
+      match parse v with
+      | Some x when valid x -> x
+      | Some _ | None -> die Api.Error.Usage "%s expects %s, got %S" key what v)
+    (flag_value args key)
 
-let all_benches =
-  Test.make_grouped ~name:"smallworld" ~fmt:"%s %s"
-    (generator_benches @ routing_benches @ experiment_kernels)
-
-let run_benchmarks () =
-  print_endline "==============================================================";
-  print_endline " Phase 2: Bechamel micro-benchmarks (OLS estimate per run)";
-  print_endline "==============================================================\n";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.5) ~stabilize:true ~kde:(Some 10) ()
+(* [min] is 1 (counts and sizes), 0, or [min_int] (any integer). *)
+let int_arg ?(min = 1) args key ~default =
+  let what =
+    match min with
+    | 1 -> "a positive integer"
+    | 0 -> "a non-negative integer"
+    | _ -> "an integer"
   in
-  let raw = Benchmark.all cfg instances all_benches in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let merged = Analyze.merge ols instances results in
-  match Hashtbl.find_opt merged (Measure.label Instance.monotonic_clock) with
-  | None -> print_endline "no monotonic clock results?"
-  | Some tbl ->
-      let rows =
-        Hashtbl.fold
-          (fun name ols_result acc ->
-            let ns =
-              match Analyze.OLS.estimates ols_result with
-              | Some (est :: _) -> est
-              | Some [] | None -> nan
-            in
-            (name, ns) :: acc)
-          tbl []
-      in
-      let rows = List.sort compare rows in
-      Printf.printf "  %-42s %15s %12s\n" "benchmark" "ns/run" "ms/run";
-      Printf.printf "  %s\n" (String.make 71 '-');
-      List.iter
-        (fun (name, ns) -> Printf.printf "  %-42s %15.0f %12.3f\n" name ns (ns /. 1e6))
-        rows
+  Option.value ~default (numeric_arg int_of_string_opt ~valid:(fun v -> v >= min) ~what args key)
+
+(* Percentages are non-negative; ratios are [~positive]. *)
+let float_arg ?(positive = false) args key =
+  numeric_arg float_of_string_opt
+    ~valid:(fun f -> if positive then f > 0.0 else f >= 0.0)
+    ~what:(if positive then "a positive number" else "a non-negative number")
+    args key
 
 (* ------------------------------------------------------------------ *)
 (* record / diff: continuous-benchmark telemetry (smallworld.bench.v1) *)
 
-let opt_value args key ~default =
-  let rec scan = function
-    | k :: v :: _ when k = key -> v
-    | _ :: rest -> scan rest
-    | [] -> default
-  in
-  scan args
-
 let record args =
-  let runs = max 1 (int_of_string (opt_value args "--runs" ~default:"3")) in
+  let runs = int_arg args "--runs" ~default:3 in
   let label = opt_value args "--label" ~default:"current" in
-  let rseed = int_of_string (opt_value args "--seed" ~default:(string_of_int seed)) in
+  let rseed = int_arg ~min:min_int args "--seed" ~default:seed in
   let out = opt_value args "--out" ~default:("BENCH_" ^ label ^ ".json") in
   let ctx = Experiments.Context.make ~seed:rseed ~scale () in
   let entries =
@@ -472,30 +291,14 @@ let route_workload inst ~routes ~seed =
   [ ("routes", routes); ("delivered", !delivered) ]
 
 let scale_sweep args =
-  let int_arg key ~default =
-    match int_of_string_opt (opt_value args key ~default:(string_of_int default)) with
-    | Some v when v > 0 -> v
-    | Some _ | None -> die Api.Error.Usage "%s expects a positive integer" key
-  in
-  let n0 = int_arg "--n" ~default:65_536 in
-  let doublings =
-    match int_of_string_opt (opt_value args "--doublings" ~default:"2") with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> die Api.Error.Usage "--doublings expects a non-negative integer"
-  in
-  let shards = int_arg "--shards" ~default:4 in
-  let routes = int_arg "--routes" ~default:256 in
-  let sseed = int_arg "--seed" ~default:seed in
+  let n0 = int_arg args "--n" ~default:65_536 in
+  let doublings = int_arg ~min:0 args "--doublings" ~default:2 in
+  let shards = int_arg args "--shards" ~default:4 in
+  let routes = int_arg args "--routes" ~default:256 in
+  let sseed = int_arg args "--seed" ~default:seed in
   let label = opt_value args "--label" ~default:"scale" in
   let out = opt_value args "--out" ~default:("BENCH_" ^ label ^ ".json") in
-  let max_mmap_ratio =
-    match opt_value args "--max-mmap-rss-ratio" ~default:"" with
-    | "" -> None
-    | v -> (
-        match float_of_string_opt v with
-        | Some f when f > 0.0 -> Some f
-        | Some _ | None -> die Api.Error.Usage "--max-mmap-rss-ratio expects a positive number")
-  in
+  let max_mmap_ratio = float_arg ~positive:true args "--max-mmap-rss-ratio" in
   let keep = List.mem "--keep" args in
   let dir =
     match opt_value args "--dir" ~default:"" with
@@ -616,147 +419,20 @@ let scale_sweep args =
       List.iter (Printf.printf "FAIL: %s\n") (List.rev fs);
       exit (Api.Error.exit_code Api.Error.Regression)
 
-(* --- serving-SLO diffs over smallworld.load.v1 --------------------- *)
-
-(* `diff` gates loadgen reports with the same interface it gates bench
-   reports: relative regressions against a baseline (throughput drop /
-   p99 growth beyond --threshold) plus absolute SLOs on the current
-   report (--max-p50-ms / --max-p99-ms / --max-refusal-rate) and an
-   improvement requirement (--expect-speedup R: >= R x throughput or
-   <= p99 / R vs the baseline).  --advisory-time downgrades every
-   timing verdict to a warning; the refusal-rate SLO always gates. *)
-
-let raw_json path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> die Api.Error.Io "%s" e
-  | contents -> (
-      match Obs.Export.json_of_string (String.trim contents) with
-      | Ok j -> j
-      | Error e -> die Api.Error.Io "cannot parse %s: %s" path e)
-
-let json_schema = function
-  | Obs.Export.Obj _ as doc -> (
-      match Obs.Export.member "schema" doc with
-      | Some (Obs.Export.Str s) -> s
-      | _ -> "")
-  | _ -> ""
-
-let load_schema_version = "smallworld.load.v1"
-
-let diff_load args ~advisory_time ~threshold_pct base_path cur_path baseline current =
-  let number ~path doc name =
-    match Obs.Export.member name doc with
-    | Some (Obs.Export.Float f) -> f
-    | Some (Obs.Export.Int i) -> float_of_int i
-    | _ -> die Api.Error.Io "%s: missing %s field" path name
-  in
-  let text ~path doc name =
-    match Obs.Export.member name doc with
-    | Some (Obs.Export.Str s) -> s
-    | _ -> die Api.Error.Io "%s: missing %s field" path name
-  in
-  let lat ~path doc q =
-    match Obs.Export.member "latency_ms" doc with
-    | Some l -> number ~path l q
-    | None -> die Api.Error.Io "%s: missing latency_ms" path
-  in
-  let opt_gate key =
-    match opt_value args key ~default:"" with
-    | "" -> None
-    | v -> (
-        match float_of_string_opt v with
-        | Some f -> Some f
-        | None -> die Api.Error.Usage "%s expects a number, got %S" key v)
-  in
-  let b_label = text ~path:base_path baseline "label"
-  and c_label = text ~path:cur_path current "label" in
-  Printf.printf "schema %s\n" load_schema_version;
-  Printf.printf "baseline %s (%s codec, %d conns, rate %g)  vs  current %s (%s codec, %d conns, rate %g)\n"
-    b_label (text ~path:base_path baseline "codec")
-    (int_of_float (number ~path:base_path baseline "connections"))
-    (number ~path:base_path baseline "rate")
-    c_label (text ~path:cur_path current "codec")
-    (int_of_float (number ~path:cur_path current "connections"))
-    (number ~path:cur_path current "rate");
-  (* Throughput scales with the connection count and pacing, so a diff
-     across those knobs would gate on an apples-to-oranges comparison
-     (mirroring the bench-report cross-jobs refusal). *)
-  List.iter
-    (fun key ->
-      let b = number ~path:base_path baseline key
-      and c = number ~path:cur_path current key in
-      if b <> c then
-        die Api.Error.Incomparable "cannot compare: baseline %s %g, current %s %g" key b
-          key c)
-    [ "connections"; "rate" ];
-  let b_tp = number ~path:base_path baseline "throughput_rps"
-  and c_tp = number ~path:cur_path current "throughput_rps"
-  and b_p99 = lat ~path:base_path baseline "p99"
-  and c_p99 = lat ~path:cur_path current "p99"
-  and c_p50 = lat ~path:cur_path current "p50"
-  and c_refusal = number ~path:cur_path current "refusal_rate" in
-  Printf.printf "  throughput %10.0f -> %10.0f req/s\n" b_tp c_tp;
-  Printf.printf "  p50        %10.3f -> %10.3f ms\n" (lat ~path:base_path baseline "p50") c_p50;
-  Printf.printf "  p99        %10.3f -> %10.3f ms\n" b_p99 c_p99;
-  Printf.printf "  refusals   %10.4f -> %10.4f\n"
-    (number ~path:base_path baseline "refusal_rate") c_refusal;
-  let timing_failures = ref [] and hard_failures = ref [] in
-  let timing_gate cond fmt =
-    Printf.ksprintf (fun msg -> if cond then timing_failures := msg :: !timing_failures) fmt
-  in
-  if b_tp > 0.0 then
-    timing_gate ((b_tp -. c_tp) /. b_tp *. 100.0 > threshold_pct)
-      "throughput dropped %.0f%% (beyond %.0f%%)" ((b_tp -. c_tp) /. b_tp *. 100.0)
-      threshold_pct;
-  if b_p99 > 0.0 then
-    timing_gate ((c_p99 -. b_p99) /. b_p99 *. 100.0 > threshold_pct)
-      "p99 grew %.0f%% (beyond %.0f%%)" ((c_p99 -. b_p99) /. b_p99 *. 100.0) threshold_pct;
-  Option.iter
-    (fun bound -> timing_gate (c_p50 > bound) "p50 %.3f ms over the %.3f ms SLO" c_p50 bound)
-    (opt_gate "--max-p50-ms");
-  Option.iter
-    (fun bound -> timing_gate (c_p99 > bound) "p99 %.3f ms over the %.3f ms SLO" c_p99 bound)
-    (opt_gate "--max-p99-ms");
-  Option.iter
-    (fun r ->
-      timing_gate
-        (not (c_tp >= r *. b_tp || (b_p99 > 0.0 && c_p99 <= b_p99 /. r)))
-        "expected %gx speedup: throughput %.0f vs %.0f req/s and p99 %.3f vs %.3f ms" r c_tp
-        b_tp c_p99 b_p99)
-    (opt_gate "--expect-speedup");
-  Option.iter
-    (fun bound ->
-      if c_refusal > bound then
-        hard_failures :=
-          Printf.sprintf "refusal rate %.4f over the %.4f SLO" c_refusal bound
-          :: !hard_failures)
-    (opt_gate "--max-refusal-rate");
-  List.iter (Printf.printf "FAIL: %s\n") !hard_failures;
-  List.iter
-    (fun msg ->
-      if advisory_time then Printf.printf "WARN: %s (advisory: timing not gated)\n" msg
-      else Printf.printf "FAIL: %s\n" msg)
-    !timing_failures;
-  if !hard_failures <> [] || ((not advisory_time) && !timing_failures <> []) then
-    exit (Api.Error.exit_code Api.Error.Regression)
-  else print_endline "OK: serving SLOs met"
-
 let diff args =
-  let threshold_pct = float_of_string (opt_value args "--threshold" ~default:"25") in
+  let pct key ~default = Option.value ~default (float_arg args key) in
+  let threshold_pct = pct "--threshold" ~default:Obs.Bench.default_threshold_pct in
   let alloc_threshold_pct =
-    float_of_string (opt_value args "--alloc-threshold" ~default:"100")
+    pct "--alloc-threshold" ~default:Obs.Bench.default_alloc_threshold_pct
   in
-  let rss_threshold_pct = float_of_string (opt_value args "--rss-threshold" ~default:"50") in
+  let rss_threshold_pct = pct "--rss-threshold" ~default:Obs.Bench.default_rss_threshold_pct in
   (* On shared CI runners wall time flaps with machine load while
      allocation stays deterministic: --advisory-time reports timing
      verdicts but only allocation regressions affect the exit code. *)
   let advisory_time = List.mem "--advisory-time" args in
   (* Skip the values of value-taking flags when collecting the two
      positional report paths. *)
-  let value_keys =
-    [ "--threshold"; "--alloc-threshold"; "--rss-threshold"; "--max-p50-ms"; "--max-p99-ms";
-      "--max-refusal-rate"; "--expect-speedup"; "--jobs" ]
-  in
+  let value_keys = [ "--threshold"; "--alloc-threshold"; "--rss-threshold"; "--jobs" ] in
   let rec positionals = function
     | [] -> []
     | k :: _ :: rest when List.mem k value_keys -> positionals rest
@@ -764,15 +440,6 @@ let diff args =
     | a :: rest -> a :: positionals rest
   in
   match positionals args with
-  | [ base_path; cur_path ]
-    when json_schema (raw_json base_path) = load_schema_version
-         || json_schema (raw_json cur_path) = load_schema_version ->
-      let base_doc = raw_json base_path and cur_doc = raw_json cur_path in
-      let bs = json_schema base_doc and cs = json_schema cur_doc in
-      if bs <> cs then
-        die Api.Error.Incomparable "cannot compare: %s has schema %S, %s has %S" base_path
-          bs cur_path cs;
-      diff_load args ~advisory_time ~threshold_pct base_path cur_path base_doc cur_doc
   | [ base_path; cur_path ] ->
       let baseline = load_report base_path and current = load_report cur_path in
       (* The header goes out before any comparability refusal, so an
@@ -796,7 +463,10 @@ let diff args =
       in
       if baseline.Obs.Bench.scale <> current.Obs.Bench.scale then
         print_endline "warning: reports were recorded at different scales";
-      print_string (Obs.Bench.render_diff comparisons);
+      print_string
+        (Obs.Bench.render_diff
+           ~unbaselined:(Obs.Bench.unbaselined ~baseline ~current)
+           comparisons);
       let time_bad = Obs.Bench.time_regressed comparisons in
       let alloc_bad = Obs.Bench.alloc_regressed comparisons in
       let rss_bad = Obs.Bench.rss_regressed comparisons in
@@ -823,15 +493,11 @@ let diff args =
   | _ ->
       die Api.Error.Usage
         "usage: bench diff BASELINE CURRENT [--threshold PCT] [--alloc-threshold PCT] \
-         [--rss-threshold PCT] [--advisory-time] [--max-p50-ms X] [--max-p99-ms X] \
-         [--max-refusal-rate R] [--expect-speedup R]  (load reports use the serving-SLO \
-         gates)"
+         [--rss-threshold PCT] [--advisory-time]"
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: "record" :: rest -> record rest
   | _ :: "scale" :: rest -> scale_sweep rest
   | _ :: "diff" :: rest -> diff rest
-  | _ ->
-      run_experiment_tables ();
-      run_benchmarks ()
+  | _ -> die Api.Error.Usage "usage: bench (record | diff | scale) [OPTIONS]"

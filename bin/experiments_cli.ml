@@ -38,7 +38,10 @@ let list_metrics_cmd =
   Cmd.v (Cmd.info "list-metrics" ~doc) Term.(const run $ const ())
 
 let run_cmd =
-  let doc = "Run experiments (all by default) and print their tables." in
+  let doc =
+    "Run experiments (all by default) and print their tables, each followed by its \
+     span table (phase timings; omitted under SMALLWORLD_OBS=0)."
+  in
   let ids =
     Arg.(value & opt_all string [] & info [ "e"; "experiment" ] ~docv:"ID"
            ~doc:"Experiment id (e.g. E3); repeatable.  Default: all.")
@@ -121,7 +124,9 @@ let run_cmd =
                     Obs.Export.write_events oc (Obs.Events.events ())))
               events_out;
             match span with
-            | Some s -> Printf.printf "(%s finished in %.1fs)\n\n%!" e.id s.Obs.Span.wall_s
+            | Some s ->
+                print_string (Obs.Export.span_table s);
+                Printf.printf "(%s finished in %.1fs)\n\n%!" e.id s.Obs.Span.wall_s
             | None -> Printf.printf "(%s finished in %.1fs)\n\n%!" e.id (Sys.time () -. t0))
           experiments;
         Option.iter close_out manifest_oc;

@@ -269,6 +269,12 @@ let diff ?(threshold_pct = default_threshold_pct) ?(min_delta_s = default_min_de
           })
     baseline.entries
 
+let unbaselined ~baseline ~current =
+  List.filter_map
+    (fun (c : entry) ->
+      if List.exists (fun (b : entry) -> b.id = c.id) baseline.entries then None else Some c.id)
+    current.entries
+
 let time_regressed comparisons =
   List.exists (fun c -> c.verdict = Regressed || c.verdict = Missing) comparisons
 
@@ -294,7 +300,7 @@ let mib bytes =
 (* 0 means "not recorded" for RSS, so it renders as absent. *)
 let mib_rss bytes = if bytes <= 0.0 then "-" else mib bytes
 
-let render_diff comparisons =
+let render_diff ?(unbaselined = []) comparisons =
   (* The RSS columns only appear when some entry recorded RSS (scale
      reports); plain experiment diffs keep the narrower v1 table. *)
   let with_rss =
@@ -325,4 +331,7 @@ let render_diff comparisons =
              (verdict_to_string c.rss_verdict));
       Buffer.add_char buf '\n')
     comparisons;
+  if unbaselined <> [] then
+    Buffer.add_string buf
+      (Printf.sprintf "  not in baseline (not gated): %s\n" (String.concat ", " unbaselined));
   Buffer.contents buf

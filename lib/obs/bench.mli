@@ -124,7 +124,12 @@ val diff :
     the [1 ± threshold_pct/100] band; the allocation verdict analogously
     uses [min_delta_bytes] and the multiplicative
     [1 + alloc_threshold_pct/100] band ([Improved] below its reciprocal).
-    Experiments absent from [current] come back [Missing] on both axes. *)
+    Experiments absent from [current] come back [Missing] on both axes;
+    those absent from [baseline] get no comparison (see {!unbaselined}). *)
+
+val unbaselined : baseline:report -> current:report -> string list
+(** Ids of [current] entries that [baseline] lacks, in [current]'s order.
+    {!diff} has nothing to judge them against, so no gate sees them. *)
 
 val regressed : comparison list -> bool
 (** {!time_regressed}, {!alloc_regressed} or {!rss_regressed} — the
@@ -142,4 +147,7 @@ val rss_regressed : comparison list -> bool
     data never trip this. *)
 
 val verdict_to_string : verdict -> string
-val render_diff : comparison list -> string
+val render_diff : ?unbaselined:string list -> comparison list -> string
+(** The comparison table, then one line naming [unbaselined] (default
+    none) as [not in baseline (not gated): ...] so ungated ids are never
+    silent. *)

@@ -124,7 +124,19 @@ let test_diff_missing_experiment () =
   let comparisons = B.diff ~baseline ~current () in
   let e2 = List.find (fun (c : B.comparison) -> c.B.c_id = "E2") comparisons in
   Alcotest.(check bool) "missing flagged" true (e2.B.verdict = B.Missing);
-  Alcotest.(check bool) "missing fails the gate" true (B.regressed comparisons)
+  Alcotest.(check bool) "missing fails the gate" true (B.regressed comparisons);
+  (* The other direction: an id only CURRENT has gets no comparison and
+     no gate, but the rendered diff names it. *)
+  let current = report [ entry "E1" 0.5; entry "E2" 1.0; entry "E3" 9.0 ] in
+  let comparisons = B.diff ~baseline ~current () in
+  let unbaselined = B.unbaselined ~baseline ~current in
+  Alcotest.(check (list string)) "current-only ids" [ "E3" ] unbaselined;
+  Alcotest.(check (list string)) "comparisons cover the baseline only" [ "E1"; "E2" ]
+    (List.map (fun (c : B.comparison) -> c.B.c_id) comparisons);
+  Alcotest.(check string) "rendered diff names the ungated id under the table"
+    (B.render_diff comparisons ^ "  not in baseline (not gated): E3\n")
+    (B.render_diff ~unbaselined comparisons);
+  Alcotest.(check bool) "a current-only id is not gated" false (B.regressed comparisons)
 
 let test_diff_rss_gate () =
   (* An mmap phase that started materialising its sections: RSS triples

@@ -1136,6 +1136,18 @@ let test_server_stats_over_tcp () =
                substr s.V1.prometheus "smallworld_server_accepted")
           end))
 
+(* Nearest-rank [q]-quantile of a non-empty sample. *)
+let quantile q xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(max 0 (int_of_float (Float.ceil (q *. float_of_int (Array.length a))) - 1))
+
+(* The wall time of [f ()] in milliseconds, beside its result. *)
+let timed_ms f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+
 let test_server_stats_under_load () =
   with_daemon ~workers:4 (fun _t port ->
       let fd = connect port in
@@ -1143,22 +1155,30 @@ let test_server_stats_under_load () =
           (match rpc fd (V1.envelope (sample_req "net" 12)) with
           | V1.Sampled _ -> ()
           | r -> check_code "sample" E.Internal r));
-      (* Route traffic on three connections while a fourth polls
-         stats-server: every scrape must answer, and the counters must
-         be monotone across scrapes. *)
+      (* Closed-loop route traffic on three connections, the first over
+         the binary codec, while a fourth polls stats-server: every
+         scrape must answer, the counters must be monotone across
+         scrapes, no route may be refused, and each client's p99 must
+         stay within 100 ms. *)
       let stop_flag = Atomic.make false in
       let clients =
         List.init 3 (fun i ->
             Domain.spawn (fun () ->
                 let fd = connect port in
+                let call = if i = 0 then brpc else rpc in
                 Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-                    let n = ref 0 in
+                    let n = ref 0 and lat = ref [] in
                     while not (Atomic.get stop_flag) do
-                      (match rpc fd (V1.envelope (route_req "net" (i, 100 + i))) with
+                      let r, ms =
+                        timed_ms (fun () ->
+                            call fd (V1.envelope (route_req "net" (i, 100 + i))))
+                      in
+                      lat := ms :: !lat;
+                      match r with
                       | V1.Routed _ -> incr n
-                      | r -> check_code "route under load" E.Internal r)
+                      | r -> check_code "route under load" E.Internal r
                     done;
-                    !n)))
+                    (!n, !lat))))
       in
       let fd = connect port in
       let served =
@@ -1168,12 +1188,37 @@ let test_server_stats_under_load () =
                 counter_of s "server.served"))
       in
       Atomic.set stop_flag true;
-      let routed = List.fold_left (fun acc d -> acc + Domain.join d) 0 clients in
+      let results = List.map Domain.join clients in
+      let routed = List.fold_left (fun acc (n, _) -> acc + n) 0 results in
       Alcotest.(check bool) "clients routed" true (routed > 0);
+      List.iteri
+        (fun i (_, lat) ->
+          if lat <> [] && quantile 0.99 lat > 100.0 then
+            Alcotest.failf "client %d (%s codec): p99 %.1f ms over %d routes exceeds 100 ms" i
+              (if i = 0 then "binary" else "json")
+              (quantile 0.99 lat) (List.length lat))
+        results;
       Alcotest.(check int) "10 scrapes all answered" 10 (List.length served);
       Alcotest.(check bool) "served counter is monotone" true
         (fst
-           (List.fold_left (fun (mono, prev) v -> (mono && v >= prev, v)) (true, 0) served)))
+           (List.fold_left (fun (mono, prev) v -> (mono && v >= prev, v)) (true, 0) served));
+      (* A paced single connection sees a mostly idle daemon: readiness
+         dispatch has no polling tick, so p50 must stay within 20 ms. *)
+      let fd = connect port in
+      let paced =
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            List.init 20 (fun k ->
+                Unix.sleepf 0.025;
+                let r, ms =
+                  timed_ms (fun () -> rpc fd (V1.envelope (route_req "net" (k, 200 + k))))
+                in
+                (match r with
+                | V1.Routed _ -> ()
+                | r -> check_code "paced route" E.Internal r);
+                ms))
+      in
+      let p50 = quantile 0.5 paced in
+      if p50 > 20.0 then Alcotest.failf "paced p50 %.1f ms exceeds 20 ms" p50)
 
 let recv_all fd =
   let buf = Buffer.create 1024 in
