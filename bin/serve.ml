@@ -25,7 +25,8 @@ let port_arg =
 
 let workers_arg =
   Arg.(value & opt int Server.Daemon.default_config.workers
-         & info [ "workers" ] ~docv:"N" ~doc:"Connection-serving domains.")
+         & info [ "workers" ] ~docv:"N" ~doc:"Request-executing worker domains; every socket is served by \
+               one event loop.")
 
 let queue_cap_arg =
   Arg.(value & opt int Server.Daemon.default_config.queue_cap
@@ -60,7 +61,8 @@ let admin_port_arg =
          ~doc:"Open a telemetry listener on this port (0 = ephemeral, printed \
                on startup): HTTP GET /metrics (Prometheus text) and /stats \
                (stats-server JSON), plus the stats-server/health JSON ops. \
-               Served off the worker queue, so scrapes answer under full load.")
+               Served on the event loop off the worker queue, so scrapes \
+               answer under full load.")
 
 let access_log_arg =
   Arg.(value & opt (some string) None

@@ -1,11 +1,12 @@
 (* Structured JSONL access log (smallworld.access.v1).
 
-   One line per served request, written by whichever worker domain
-   finished it, so the writer is a mutex-guarded buffer.  Lines are
-   buffered and flushed when the buffer grows past a threshold or a
-   couple of seconds have passed since the last flush — plus whatever
-   periodic flushes the daemon's housekeeping loop adds — so a crashed
-   daemon loses at most the tail, not the whole log.
+   One line per served request, written by the daemon's event loop
+   when the request's last reply byte is flushed (or its peer
+   vanishes); the buffer is mutex-guarded so any domain may log.  Lines
+   are buffered and flushed when the buffer grows past a threshold or
+   a couple of seconds have passed since the last flush — plus the
+   periodic flushes of the event loop's housekeeping tick — so a
+   crashed daemon loses at most the tail, not the whole log.
 
    Sampling is deterministic: with [sample = n] only requests whose id
    is divisible by n are logged, so a given request id either appears

@@ -13,7 +13,7 @@
     envelope id (when sent), [outcome] is ["ok"] or the error-taxonomy
     code of the failure.  Stage timings are milliseconds (3 decimal
     places).  Lines are buffered and flushed on size/time thresholds
-    and from the daemon's housekeeping loop, not only at drain. *)
+    and from the daemon's housekeeping tick, not only at drain. *)
 
 val schema_version : string
 (** ["smallworld.access.v1"]. *)

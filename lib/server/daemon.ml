@@ -77,6 +77,7 @@ type conn = {
   mutable c_eof : bool;
   mutable c_dead : bool;
   mutable c_close_after_flush : bool;
+  c_admin : bool;  (* accepted on the admin listener *)
 }
 
 type job = {
@@ -87,7 +88,7 @@ type job = {
   j_enqueued : float;
 }
 
-type completion = { d_conn : conn; d_bytes : Bytes.t; d_fin : fin option }
+type completion = { d_conn : conn; d_bytes : Bytes.t; d_fin : fin }
 
 type t = {
   config : config;
@@ -104,33 +105,42 @@ type t = {
   (* Finished requests travelling back to the event loop for writing. *)
   completions : completion Queue.t;
   cmutex : Mutex.t;
-  (* Connection table; owned exclusively by the event-loop domain. *)
+  (* Connection table, main and admin; owned exclusively by the
+     event-loop domain. *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
-  mutable outstanding : int;  (* dispatched jobs without a collected completion *)
+  mutable admin_open : int;  (* admin connections in [conns] *)
+  (* Dispatched jobs without a collected completion or refusal: every
+     queued job and every uncollected completion is counted, so 0 means
+     both queues are empty. *)
+  mutable outstanding : int;
   alog : Access_log.t option;
   (* Mutex-guarded JSONL sink for per-request trace records. *)
   trace_log : (Mutex.t * out_channel) option;
   manifest_now : bool Atomic.t;
+  mutable last_manifest : float;
   (* Stage clocks cost one gettimeofday each; skip them entirely when
      neither obs nor the access log can consume the result. *)
   timing : bool;
   mutable worker_domains : unit Domain.t list;
-  mutable aux_domains : unit Domain.t list;
 }
 
-(* Fallback tick for blocked loops (drain-flag checks in the admin and
-   housekeeping domains; event-loop safety net).  The request path
-   never waits on it: completions wake the event loop through the
-   self-pipe. *)
+(* The event loop's tick: the housekeeping timer's resolution and a
+   safety net.  The request path never waits on it: completions wake
+   the event loop through the self-pipe. *)
 let poll_interval = 0.2
 
 (* select(2) rejects any fd >= FD_SETSIZE (1024 on Linux) with EINVAL,
    so the connection table must stay comfortably below it — the slack
-   covers the listen fds, the self-pipe, log files, and stdio.  At the
-   cap the listen fd is dropped from the readiness set (fresh
-   connections wait in the accept backlog) and any burst that was
-   already accepted is refused with [overloaded] and closed. *)
+   covers the admin connections, the listen fds, the self-pipe, log
+   files, and stdio.  At the cap the listen fd is dropped from the
+   readiness set (fresh connections wait in the accept backlog) and any
+   burst that was already accepted is refused with [overloaded] and
+   closed. *)
 let max_conns = 960
+
+(* The same bound for admin connections, counted apart so scrapes still
+   answer when the main plane is at its cap; also the admin backlog. *)
+let admin_cap = 16
 
 (* A request line larger than this is hostile; drop the connection
    rather than buffer without bound. *)
@@ -138,32 +148,6 @@ let max_line_bytes = 16 * 1024 * 1024
 
 (* Read-buffer ceiling: one maximal frame or line plus header slack. *)
 let buf_cap_limit = max_line_bytes + 64
-
-(* How long an admin connection may sit idle before it is dropped —
-   the admin loop serves connections one at a time, so a silent client
-   must not wedge scrapes. *)
-let admin_idle_timeout = 10.0
-
-let rec restart_on_intr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_intr f
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = restart_on_intr (fun () -> Unix.write_substring fd s off (len - off)) in
-      go (off + n)
-  in
-  go 0
-
-(* Best effort: the peer may already be gone; that must not take the
-   admin loop down. *)
-let try_write fd s =
-  match write_all fd s with
-  | () -> true
-  | exception Unix.Unix_error _ -> false
-
-let try_write_reply fd reply = try_write fd (V1.reply_line reply ^ "\n")
 
 let overloaded_error cap =
   Error.make Error.Overloaded "request queue full (%d pending requests); retry later"
@@ -189,46 +173,6 @@ let render_reply codec reply =
   match codec with
   | C_json -> V1.reply_line reply ^ "\n"
   | C_binary | C_unknown -> B.reply_frame reply
-
-(* Read one newline-terminated line, polling the drain flag while
-   blocked.  [None] on EOF, drain, oversized line, socket error, or an
-   exceeded [give_up] instant.  Admin plane only — the main plane is
-   event-driven. *)
-let read_line_poll ?give_up t fd buf =
-  let chunk = Bytes.create 8192 in
-  let take_line () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
-        Some (String.sub s 0 i)
-  in
-  let expired () =
-    match give_up with Some d -> Unix.gettimeofday () >= d | None -> false
-  in
-  let rec go () =
-    match take_line () with
-    | Some line -> Some line
-    | None ->
-        if Exec.draining t.ex then None
-        else if Buffer.length buf > max_line_bytes then None
-        else if expired () then None
-        else
-          let readable, _, _ =
-            restart_on_intr (fun () -> Unix.select [ fd ] [] [] poll_interval)
-          in
-          if readable = [] then go ()
-          else
-            match restart_on_intr (fun () -> Unix.read fd chunk 0 (Bytes.length chunk)) with
-            | 0 -> None
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                go ()
-            | exception Unix.Unix_error _ -> None
-  in
-  go ()
 
 let wake_all t =
   Mutex.lock t.qmutex;
@@ -363,17 +307,18 @@ let rec try_flush t conn =
         | exception Unix.Unix_error (EINTR, _, _) -> try_flush t conn
         | exception Unix.Unix_error _ -> mark_dead t conn)
 
-let enqueue_reply t conn ~codec reply =
+let enqueue t conn s =
   if not conn.c_dead then begin
-    Queue.push
-      { w_bytes = Bytes.of_string (render_reply codec reply); w_off = 0; w_fin = None }
-      conn.c_wq;
+    Queue.push { w_bytes = Bytes.of_string s; w_off = 0; w_fin = None } conn.c_wq;
     try_flush t conn
   end
+
+let enqueue_reply t conn ~codec reply = enqueue t conn (render_reply codec reply)
 
 let close_conn t conn =
   mark_dead t conn;
   Hashtbl.remove t.conns conn.c_fd;
+  if conn.c_admin then t.admin_open <- t.admin_open - 1;
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 (* Backpressure: stop reading while a request is dispatched or a reply
@@ -450,12 +395,90 @@ let negotiate t conn =
     else conn.c_codec <- C_json
   end
 
+(* The admin plane: connections accepted on the admin listener are
+   answered inline here, off the worker queue and the compute mutex, so
+   telemetry answers while every worker is busy.  Requests here are
+   out-of-band — they do not move the server.* counters. *)
+
+let http_response ~status ~content_type body =
+  Printf.sprintf
+    "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+    status content_type (String.length body) body
+
+let stats_reply t =
+  { V1.reply_id = None; response = V1.Server_stats_reply (Exec.server_stats t.ex) }
+
+let admin_restricted =
+  Error.make Error.Bad_request
+    "the admin port answers stats-server and health only; send compute requests \
+     to the main port"
+
+let admin_json t line =
+  match V1.envelope_of_line line with
+  | Error e -> { V1.reply_id = None; response = V1.Failed e }
+  | Ok env -> (
+      match env.V1.request with
+      | V1.Server_stats -> { (stats_reply t) with V1.reply_id = env.id }
+      | V1.Health -> { V1.reply_id = env.id; response = V1.Health_reply (Exec.health t.ex) }
+      | _ -> { V1.reply_id = env.id; response = V1.Failed admin_restricted })
+
+let admin_http t line =
+  let path = match String.split_on_char ' ' line with _ :: p :: _ -> p | _ -> "/" in
+  match path with
+  | "/metrics" ->
+      http_response ~status:"200 OK" ~content_type:"text/plain; version=0.0.4"
+        (Exec.prometheus t.ex)
+  | "/" | "/stats" | "/stats-server" ->
+      http_response ~status:"200 OK" ~content_type:"application/json"
+        (V1.reply_line (stats_reply t) ^ "\n")
+  | _ ->
+      http_response ~status:"404 Not Found" ~content_type:"text/plain"
+        "not found (try /metrics or /stats)\n"
+
+(* The next complete line in the read buffer, newline stripped; a
+   partial line longer than [max_line_bytes] is hostile and kills the
+   connection. *)
+let take_line t conn =
+  let rec find_nl i =
+    if i >= conn.c_rlen then None
+    else if Bytes.get conn.c_rbuf i = '\n' then Some i
+    else find_nl (i + 1)
+  in
+  match find_nl conn.c_scanned with
+  | Some i ->
+      let line = Bytes.sub_string conn.c_rbuf 0 i in
+      consume conn (i + 1);
+      Some line
+  | None ->
+      conn.c_scanned <- conn.c_rlen;
+      if conn.c_rlen > max_line_bytes then mark_dead t conn;
+      None
+
+(* Admin connections are answered inline, one line per flushed reply:
+   a first line starting with "GET " gets an HTTP reply and the
+   connection closes after it; any other line is a JSON request. *)
+let rec pump_admin t conn =
+  if
+    (not (conn.c_dead || conn.c_close_after_flush || Exec.draining t.ex))
+    && Queue.is_empty conn.c_wq
+  then
+    match take_line t conn with
+    | None -> ()
+    | Some line when conn.c_codec = C_unknown && String.starts_with ~prefix:"GET " line ->
+        enqueue t conn (admin_http t line);
+        conn.c_close_after_flush <- true
+    | Some line ->
+        conn.c_codec <- C_json;
+        enqueue_reply t conn ~codec:C_json (admin_json t line);
+        pump_admin t conn
+
 (* Extract at most one request from the connection's read buffer and
    dispatch it.  At most one, because a dispatch flips [c_inflight]
    and the next request waits for the reply (FIFO per connection);
    oversized binary frames are refused inline and parsing continues. *)
 let rec pump t conn =
-  if not (conn.c_dead || conn.c_close_after_flush || Exec.draining t.ex) then begin
+  if conn.c_admin then pump_admin t conn
+  else if not (conn.c_dead || conn.c_close_after_flush || Exec.draining t.ex) then begin
     if conn.c_skip > 0 && conn.c_rlen > 0 then begin
       let d = min conn.c_skip conn.c_rlen in
       consume conn d;
@@ -471,19 +494,9 @@ let rec pump t conn =
       match conn.c_codec with
       | C_unknown -> ()  (* json-only refusal queued above *)
       | C_json ->
-          let rec find_nl i =
-            if i >= conn.c_rlen then None
-            else if Bytes.get conn.c_rbuf i = '\n' then Some i
-            else find_nl (i + 1)
-          in
-          (match find_nl conn.c_scanned with
-          | Some i ->
-              let line = Bytes.sub_string conn.c_rbuf 0 i in
-              consume conn (i + 1);
-              dispatch t conn ~payload:line ~codec:C_json
-          | None ->
-              conn.c_scanned <- conn.c_rlen;
-              if conn.c_rlen > max_line_bytes then mark_dead t conn)
+          Option.iter
+            (fun line -> dispatch t conn ~payload:line ~codec:C_json)
+            (take_line t conn)
       | C_binary -> (
           (* unsafe_to_string: [parse] only reads, and only within
              [0, c_rlen) while we hold the buffer. *)
@@ -528,23 +541,34 @@ let rec pump t conn =
     end
   end
 
-let accept_new t =
+let conn_cap ~admin = if admin then admin_cap else max_conns
+
+let at_cap t ~admin =
+  (if admin then t.admin_open else Hashtbl.length t.conns - t.admin_open)
+  >= conn_cap ~admin
+
+let accept_new t lfd ~admin =
   let rec go () =
-    match Unix.accept ~cloexec:true t.listen_fd with
+    match Unix.accept ~cloexec:true lfd with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (EINTR, _, _) -> go ()
     | exception Unix.Unix_error _ -> ()
-    | fd, _ when Hashtbl.length t.conns >= max_conns ->
+    | fd, _ when at_cap t ~admin ->
         (* The listen fd leaves the readiness set at the cap, but a
            burst accepted in this very loop can still overshoot: refuse
            (best-effort JSON — the codec was never negotiated) and
            close, keeping every selected fd below FD_SETSIZE. *)
-        Exec.note_rejected t.ex;
-        ignore
-          (try_write_reply fd
-             { V1.reply_id = None; response = V1.Failed (conn_limit_error max_conns) });
+        if not admin then Exec.note_rejected t.ex;
+        let line =
+          V1.reply_line
+            { V1.reply_id = None; response = V1.Failed (conn_limit_error (conn_cap ~admin)) }
+          ^ "\n"
+        in
+        (try ignore (Unix.single_write_substring fd line 0 (String.length line))
+         with Unix.Unix_error _ -> ());
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | fd, _ ->
+        if admin then t.admin_open <- t.admin_open + 1;
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         Hashtbl.replace t.conns fd
@@ -560,6 +584,7 @@ let accept_new t =
             c_eof = false;
             c_dead = false;
             c_close_after_flush = false;
+            c_admin = admin;
           };
         go ()
   in
@@ -601,18 +626,18 @@ let process_completions t =
         conn.c_inflight <- false;
         if conn.c_dead then
           (* the peer vanished mid-request; retire the bookkeeping *)
-          Option.iter (fun fin -> finalize t fin ~write_s:0.0) c.d_fin
+          finalize t c.d_fin ~write_s:0.0
         else begin
-          Option.iter (fun fin -> fin.f_flush_t0 <- now) c.d_fin;
-          Queue.push { w_bytes = c.d_bytes; w_off = 0; w_fin = c.d_fin } conn.c_wq;
+          c.d_fin.f_flush_t0 <- now;
+          Queue.push { w_bytes = c.d_bytes; w_off = 0; w_fin = Some c.d_fin } conn.c_wq;
           conn_protect t conn (fun () -> try_flush t conn)
         end)
       batch
   end
 
-(* At drain, jobs may be left in the queue after the workers exit (a
-   dispatch can race the drain flag); refuse them from here so nothing
-   is stranded. *)
+(* The one drain refusal: at drain the workers exit without popping,
+   so every job still queued is refused from here and nothing is
+   stranded. *)
 let refuse_leftover_jobs t =
   let leftovers = ref [] in
   Mutex.lock t.qmutex;
@@ -628,24 +653,55 @@ let refuse_leftover_jobs t =
         { V1.reply_id = None; response = V1.Failed draining_error })
     (List.rev !leftovers)
 
-let queues_empty t =
-  Mutex.lock t.qmutex;
-  let jobs_empty = Queue.is_empty t.jobs in
-  Mutex.unlock t.qmutex;
-  Mutex.lock t.cmutex;
-  let comps_empty = Queue.is_empty t.completions in
-  Mutex.unlock t.cmutex;
-  jobs_empty && comps_empty
+(* Write-then-rename, so a reader or a SIGKILL never sees a truncated
+   manifest. *)
+let write_manifest t =
+  Option.iter
+    (fun path ->
+      let extra =
+        List.map (fun (k, v) -> (k, Obs.Export.value_to_json v)) (Exec.snapshot t.ex)
+      in
+      let tmp = path ^ ".tmp" in
+      Out_channel.with_open_text tmp (fun oc ->
+          output_string oc
+            (Obs.Export.manifest_line ~extra ~experiment:"serve" ~seed:0 ~scale:"serve"
+               ~registry:Obs.Metrics.default ~span:None ());
+          output_char oc '\n');
+      Sys.rename tmp path)
+    t.config.obs_out
 
-(* The connection plane: one domain, readiness-driven.  Never blocks
-   on a socket — reads and writes are non-blocking, replies produced
-   by worker domains arrive through [completions] plus a self-pipe
+(* Periodic telemetry flush, checked on every loop tick: rewrite the
+   manifest every [obs_interval] seconds (and on {!request_manifest},
+   wired to SIGHUP by bin/serve) and flush the access log, so a crashed
+   or SIGKILLed daemon still leaves telemetry behind.  A failed write
+   must not take the serving plane down; the drain-time write reports
+   it. *)
+let housekeep t =
+  if t.config.obs_out <> None || t.alog <> None then begin
+    let forced = Atomic.exchange t.manifest_now false in
+    let due =
+      t.config.obs_interval > 0.0
+      && Unix.gettimeofday () -. t.last_manifest >= t.config.obs_interval
+    in
+    if forced || due then begin
+      (try
+         write_manifest t;
+         Option.iter Access_log.flush t.alog
+       with Sys_error _ -> ());
+      t.last_manifest <- Unix.gettimeofday ()
+    end
+  end
+
+(* The daemon's one I/O and timer domain, readiness-driven: main and
+   admin sockets plus the housekeeping timer.  Never blocks on a
+   socket — reads and writes are non-blocking, replies produced by
+   worker domains arrive through [completions] plus a self-pipe
    wakeup. *)
 let event_loop t =
-  Unix.set_nonblock t.listen_fd;
   let finished = ref false in
   while not !finished do
     process_completions t;
+    housekeep t;
     let draining = Exec.draining t.ex in
     if draining then begin
       refuse_leftover_jobs t;
@@ -657,14 +713,15 @@ let event_loop t =
       Hashtbl.fold (fun _ c acc -> if should_close t c then c :: acc else acc) t.conns []
     in
     List.iter (close_conn t) doomed;
-    if draining && t.outstanding = 0 && Hashtbl.length t.conns = 0 && queues_empty t
-    then finished := true
+    if draining && t.outstanding = 0 && Hashtbl.length t.conns = 0 then finished := true
     else begin
-      let read =
-        ref
-          (if draining || Hashtbl.length t.conns >= max_conns then []
-           else [ t.listen_fd ])
-      in
+      let read = ref [] in
+      if not draining then begin
+        if not (at_cap t ~admin:false) then read := [ t.listen_fd ];
+        Option.iter
+          (fun (fd, _) -> if not (at_cap t ~admin:true) then read := fd :: !read)
+          t.admin
+      end;
       let write = ref [] in
       Hashtbl.iter
         (fun fd conn ->
@@ -683,14 +740,14 @@ let event_loop t =
         writable;
       List.iter
         (fun fd ->
-          if fd == t.listen_fd then accept_new t
+          if fd == t.listen_fd then accept_new t fd ~admin:false
           else
             match Hashtbl.find_opt t.conns fd with
             | Some conn ->
                 conn_protect t conn (fun () ->
                     read_conn t conn;
                     pump t conn)
-            | None -> ())
+            | None -> accept_new t fd ~admin:true  (* the admin listener *))
         readable
     end
   done
@@ -771,151 +828,28 @@ let process t (job : job) =
       f_flush_t0 = 0.0;
     }
   in
-  push_completion t { d_conn = conn; d_bytes = Bytes.of_string out; d_fin = Some fin };
+  push_completion t { d_conn = conn; d_bytes = Bytes.of_string out; d_fin = fin };
   (* A drain ack must wake parked workers so they can observe the flag
      and exit. *)
   if reply.V1.response = V1.Drain_ack then wake_all t
 
-let refuse_job t (job : job) =
-  Exec.note_rejected t.ex;
-  let out =
-    render_reply job.j_codec { V1.reply_id = None; response = V1.Failed draining_error }
-  in
-  push_completion t { d_conn = job.j_conn; d_bytes = Bytes.of_string out; d_fin = None }
-
+(* At drain a worker exits without popping: jobs still queued are
+   refused by the event loop ({!refuse_leftover_jobs}). *)
 let worker_loop t =
   let rec next () =
     Mutex.lock t.qmutex;
     while Queue.is_empty t.jobs && not (Exec.draining t.ex) do
       Condition.wait t.qcond t.qmutex
     done;
-    match Queue.take_opt t.jobs with
-    | None -> Mutex.unlock t.qmutex  (* draining and nothing queued: exit *)
-    | Some job ->
-        Mutex.unlock t.qmutex;
-        if Exec.draining t.ex then refuse_job t job else process t job;
-        next ()
+    if Exec.draining t.ex then Mutex.unlock t.qmutex
+    else begin
+      let job = Queue.pop t.jobs in
+      Mutex.unlock t.qmutex;
+      process t job;
+      next ()
+    end
   in
   next ()
-
-(* ------------------------------------------------------------------ *)
-(* Admin plane: scrapes bypass the worker queue (and the compute
-   mutex), so telemetry answers while every worker is busy.  Requests
-   here are out-of-band — they do not move the server.* counters. *)
-
-let http_response ~status ~content_type body =
-  Printf.sprintf
-    "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-    status content_type (String.length body) body
-
-let stats_reply t =
-  { V1.reply_id = None; response = V1.Server_stats_reply (Exec.server_stats t.ex) }
-
-let admin_restricted =
-  Error.make Error.Bad_request
-    "the admin port answers stats-server and health only; send compute requests \
-     to the main port"
-
-let serve_admin_connection t fd =
-  let buf = Buffer.create 256 in
-  let next_line () =
-    read_line_poll ~give_up:(Unix.gettimeofday () +. admin_idle_timeout) t fd buf
-  in
-  let handle_json line =
-    match V1.envelope_of_line line with
-    | Error e -> { V1.reply_id = None; response = V1.Failed e }
-    | Ok env -> (
-        match env.V1.request with
-        | V1.Server_stats -> { (stats_reply t) with V1.reply_id = env.id }
-        | V1.Health -> { V1.reply_id = env.id; response = V1.Health_reply (Exec.health t.ex) }
-        | _ -> { V1.reply_id = env.id; response = V1.Failed admin_restricted })
-  in
-  let handle_http line =
-    let path =
-      match String.split_on_char ' ' line with _ :: p :: _ -> p | _ -> "/"
-    in
-    let body =
-      match path with
-      | "/metrics" ->
-          Some
-            (http_response ~status:"200 OK"
-               ~content_type:"text/plain; version=0.0.4"
-               (Exec.prometheus t.ex))
-      | "/" | "/stats" | "/stats-server" ->
-          Some
-            (http_response ~status:"200 OK" ~content_type:"application/json"
-               (V1.reply_line (stats_reply t) ^ "\n"))
-      | _ ->
-          Some
-            (http_response ~status:"404 Not Found" ~content_type:"text/plain"
-               "not found (try /metrics or /stats)\n")
-    in
-    Option.iter (fun s -> ignore (try_write fd s)) body
-  in
-  let run () =
-    match next_line () with
-    | None -> ()
-    | Some line when String.length line >= 4 && String.sub line 0 4 = "GET " ->
-        handle_http line
-    | Some line ->
-        let rec jloop line =
-          if try_write_reply fd (handle_json line) then
-            match next_line () with Some l -> jloop l | None -> ()
-        in
-        jloop line
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    run
-
-let admin_loop t admin_fd =
-  while not (Exec.draining t.ex) do
-    let readable, _, _ =
-      restart_on_intr (fun () -> Unix.select [ admin_fd ] [] [] poll_interval)
-    in
-    if readable <> [] && not (Exec.draining t.ex) then
-      match restart_on_intr (fun () -> Unix.accept admin_fd) with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ -> serve_admin_connection t fd
-  done;
-  try Unix.close admin_fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-
-let write_manifest t =
-  Option.iter
-    (fun path ->
-      let extra =
-        List.map (fun (k, v) -> (k, Obs.Export.value_to_json v)) (Exec.snapshot t.ex)
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Obs.Export.manifest_line ~extra ~experiment:"serve" ~seed:0 ~scale:"serve"
-               ~registry:Obs.Metrics.default ~span:None ());
-          output_char oc '\n'))
-    t.config.obs_out
-
-let request_manifest t = Atomic.set t.manifest_now true
-
-(* Periodic telemetry flush: rewrite the manifest every
-   [obs_interval] seconds (and on {!request_manifest}, wired to
-   SIGHUP by bin/serve) and flush the access log, so a crashed or
-   SIGKILLed daemon still leaves telemetry behind. *)
-let housekeeping_loop t =
-  let last = ref (Unix.gettimeofday ()) in
-  while not (Exec.draining t.ex) do
-    (try Unix.sleepf poll_interval with Unix.Unix_error _ -> ());
-    let forced = Atomic.exchange t.manifest_now false in
-    let due =
-      t.config.obs_interval > 0.0
-      && Unix.gettimeofday () -. !last >= t.config.obs_interval
-    in
-    if forced || due then begin
-      write_manifest t;
-      Option.iter Access_log.flush t.alog;
-      last := Unix.gettimeofday ()
-    end
-  done
 
 let listen_on ~host ~port ~backlog =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
@@ -926,6 +860,7 @@ let listen_on ~host ~port ~backlog =
      Unix.close fd;
      raise e);
   Unix.listen fd backlog;
+  Unix.set_nonblock fd;
   let bound =
     match Unix.getsockname fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -947,7 +882,7 @@ let create config =
     match config.admin_port with
     | None -> None
     | Some p -> (
-        match listen_on ~host:config.host ~port:p ~backlog:16 with
+        match listen_on ~host:config.host ~port:p ~backlog:admin_cap with
         | fd_port -> Some fd_port
         | exception e ->
             (try Unix.close listen_fd with Unix.Unix_error _ -> ());
@@ -977,13 +912,14 @@ let create config =
       completions = Queue.create ();
       cmutex = Mutex.create ();
       conns = Hashtbl.create 64;
+      admin_open = 0;
       outstanding = 0;
       alog;
       trace_log;
       manifest_now = Atomic.make false;
+      last_manifest = Unix.gettimeofday ();
       timing = Obs.Metrics.enabled || config.access_log <> None;
       worker_domains = [];
-      aux_domains = [];
     }
   in
   Exec.set_queue_depth_source t.ex (fun () ->
@@ -993,13 +929,6 @@ let create config =
       n);
   t.worker_domains <-
     List.init config.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  let aux = ref [] in
-  Option.iter
-    (fun (fd, _) -> aux := Domain.spawn (fun () -> admin_loop t fd) :: !aux)
-    admin;
-  if config.obs_out <> None || alog <> None then
-    aux := Domain.spawn (fun () -> housekeeping_loop t) :: !aux;
-  t.aux_domains <- !aux;
   t
 
 let port t = t.bound_port
@@ -1007,8 +936,13 @@ let admin_port t = Option.map snd t.admin
 let exec t = t.ex
 
 (* Safe from a signal handler: one atomic store and one self-pipe
-   write; the event loop broadcasts to the workers on its next
-   iteration. *)
+   write; the event loop acts on it on its next iteration. *)
+let request_manifest t =
+  Atomic.set t.manifest_now true;
+  Evloop.wakeup t.ev
+
+(* Signal-safe like {!request_manifest}; the event loop broadcasts to
+   the workers on its next iteration. *)
 let stop t =
   Exec.start_drain t.ex;
   Evloop.wakeup t.ev
@@ -1019,10 +953,10 @@ let serve t =
       wake_all t;
       List.iter Domain.join t.worker_domains;
       t.worker_domains <- [];
-      List.iter Domain.join t.aux_domains;
-      t.aux_domains <- [];
       Evloop.close t.ev;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ()));
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (t.listen_fd :: Option.to_list (Option.map fst t.admin)));
   write_manifest t;
   (* Drain-time finalization: the event ring (whatever survived the
      ring's overwrite window) lands alongside the access log. *)

@@ -4,9 +4,10 @@
 
     Concurrency model: the domain that calls {!serve} runs a
     single-threaded readiness event loop (see {!Evloop}) that owns
-    every client socket — non-blocking accepts, reads, framing, and
-    reply writes all happen there, so an idle or slow client costs one
-    table entry, not a domain.  Parsed requests are dispatched to a
+    every socket and timer — non-blocking accepts, reads, framing, and
+    reply writes on the main and admin ports, and the housekeeping
+    timer, all happen there, so an idle or slow client costs one table
+    entry, not a domain.  The daemon spawns exactly [workers] domains.  Parsed requests are dispatched to a
     bounded job queue that [workers] spawned domains pop from; each
     finished reply travels back to the event loop as a completion (a
     self-pipe wakeup breaks the [select], so replies flush immediately
@@ -46,18 +47,24 @@
     of concurrent identical requests; [server.cache.*] counters land
     in [health] and [stats-server] replies.
 
-    When [admin_port] is set, a separate listener domain serves the
-    telemetry plane without touching the worker queue or the compute
-    mutex, so scrapes answer while every worker is busy: HTTP
-    [GET /metrics] returns the Prometheus text dump, [GET /stats] the
-    [stats-server] JSON reply; raw JSON lines are also accepted but
-    only for [stats-server] and [health] (admin requests do not move
-    the [server.*] counters).
+    When [admin_port] is set, its listener joins the event loop's
+    readiness set, and admin connections are answered inline on the
+    loop without touching the worker queue or the compute mutex, so
+    scrapes answer while every worker is busy and an idle admin
+    connection stalls no one: a first line [GET /metrics] gets the
+    Prometheus text dump, [GET /stats] the [stats-server] JSON reply,
+    and the connection closes after the reply; raw JSON lines are also
+    accepted, in order, but only for [stats-server] and [health] (admin
+    requests do not move the [server.*] counters).  Up to 16 admin
+    connections are open at once, counted apart from the main plane's
+    cap, so scrapes answer when the main plane is full.
 
-    A housekeeping domain (spawned when [obs_out] or [access_log] is
-    set) rewrites the manifest every [obs_interval] seconds and on
+    When [obs_out] or [access_log] is set, the loop's 200 ms tick
+    rewrites the manifest every [obs_interval] seconds and on
     {!request_manifest} (wired to SIGHUP by [bin/serve]), and flushes
-    the access log, so a killed daemon still leaves telemetry. *)
+    the access log, so a killed daemon still leaves telemetry.  The
+    manifest is written to [obs_out ^ ".tmp"] and renamed over
+    [obs_out], so a reader never sees a truncated file. *)
 
 type config = {
   host : string;  (** bind address, default "127.0.0.1" *)
@@ -103,7 +110,7 @@ type t
 
 val create : config -> t
 (** Bind + listen (main and, when configured, admin sockets) and spawn
-    the worker, admin and housekeeping domains.  The listening sockets
+    the [workers] worker domains.  The listening sockets
     are live from here on (connections queue in the backlog until
     {!serve} starts accepting).
     @raise Unix.Unix_error when an address cannot be bound.
@@ -121,8 +128,9 @@ val exec : t -> Exec.t
     embedding process preload instances before serving. *)
 
 val request_manifest : t -> unit
-(** Ask the housekeeping domain to rewrite the manifest (and flush the
-    access log) at its next tick (≤ 200 ms).  Async-signal-safe — the
+(** Ask the event loop to rewrite the manifest (and flush the access
+    log); it wakes the loop, which does so on its next iteration.
+    Async-signal-safe (one atomic store and one self-pipe write) — the
     SIGHUP handler in [bin/serve] calls this directly.  A no-op when
     neither [obs_out] nor [access_log] is configured. *)
 
@@ -134,5 +142,5 @@ val stop : t -> unit
 val serve : t -> unit
 (** Run the event loop in the calling domain until drained (via
     {!stop}, SIGTERM wired to it, or a client's [drain] request), then
-    join the worker/admin/housekeeping domains, close the sockets,
-    write the final manifest, and close the access log. *)
+    join the worker domains, close the sockets, write the final
+    manifest, and close the access log. *)

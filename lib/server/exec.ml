@@ -36,6 +36,7 @@ type t = {
   h_compute : Obs.Metrics.histogram;
   h_render : Obs.Metrics.histogram;
   h_write : Obs.Metrics.histogram;
+  h_mutex_wait : Obs.Metrics.histogram;
   h_ops : (string * Obs.Metrics.histogram) list;
   (* Per-request GC deltas around the compute stage (Gc.quick_stat
      diffs taken by the daemon, obs-on only). *)
@@ -66,6 +67,7 @@ let create ?(registry_cap = 8) ?(max_batch = 4096) ?(cache_cap = 4096) () =
     h_compute = Obs.Metrics.histogram "server.stage.compute";
     h_render = Obs.Metrics.histogram "server.stage.render";
     h_write = Obs.Metrics.histogram "server.stage.write";
+    h_mutex_wait = Obs.Metrics.histogram "server.compute.mutex_wait";
     h_ops =
       List.map
         (fun op ->
@@ -151,9 +153,17 @@ let prometheus t = prometheus_of (snapshot t)
 let health t =
   { V1.draining = draining t; instances = Registry.names t.reg; counters = counter_pairs t }
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+(* The compute mutex, with the wait to take it recorded into
+   [server.compute.mutex_wait]; the clock reads happen only with obs
+   on. *)
+let locked t f =
+  if Obs.Metrics.enabled then begin
+    let t0 = Unix.gettimeofday () in
+    Mutex.lock t.compute;
+    Obs.Metrics.observe t.h_mutex_wait (Unix.gettimeofday () -. t0)
+  end
+  else Mutex.lock t.compute;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.compute) f
 
 let with_instance t name f =
   match Registry.acquire t.reg name with
@@ -171,7 +181,8 @@ let deadline_error =
   Error.make Error.Deadline "deadline expired before the request completed"
 
 let stage_names =
-  [ "stage.queue_wait"; "stage.compute"; "stage.render"; "stage.write" ]
+  [ "stage.queue_wait"; "stage.compute"; "stage.render"; "stage.write";
+    "compute.mutex_wait" ]
   @ List.map (fun op -> "latency." ^ metric_op_suffix op) all_ops
 
 (* Assembled without the compute mutex, so a scrape answers even while
@@ -237,7 +248,7 @@ let run t ?deadline request =
                 Cache.invalidate_name t.cache ~name;
                 V1.Loaded info))
     | V1.Sample { name; model; seed } -> (
-        let inst = locked t.compute (fun () -> Api.Render.instantiate ~model ~seed) in
+        let inst = locked t (fun () -> Api.Render.instantiate ~model ~seed) in
         match Registry.insert t.reg ~name inst with
         | Error e -> V1.Failed e
         | Ok info ->
@@ -291,7 +302,7 @@ let run t ?deadline request =
                   V1.Failed deadline_error
                 end
                 else
-                  locked t.compute (fun () ->
+                  locked t (fun () ->
                       match
                         Api.Render.route_batch ~inst ~protocol ?max_steps
                           ~pairs:resolved ()
@@ -303,7 +314,7 @@ let run t ?deadline request =
             V1.Stats_reply (Api.Render.stats (Registry.instance h)))
     | V1.Gen_shard { params; seed; shards; shard; out } -> (
         match
-          locked t.compute (fun () ->
+          locked t (fun () ->
               Girg.Shard.generate_spill ~path:out ~seed ~shards ~shard params)
         with
         | header ->
@@ -319,7 +330,7 @@ let run t ?deadline request =
             V1.Failed (Error.make Error.Io "cannot write spill %s: %s" out m)
         | exception Invalid_argument m -> V1.Failed (Error.make Error.Bad_request "%s" m))
     | V1.Merge_shards { name; spills } -> (
-        match locked t.compute (fun () -> Girg.Shard.merge ~paths:spills ()) with
+        match locked t (fun () -> Girg.Shard.merge ~paths:spills ()) with
         | Error e -> V1.Failed (Error.make Error.Io "merge failed: %s" e)
         | Ok inst -> (
             match Registry.insert t.reg ~name inst with
@@ -350,7 +361,7 @@ let run t ?deadline request =
             | Error m -> V1.Failed (Error.make Error.Bad_request "%s" m)
             | Ok () -> (
                 let mutated =
-                  locked t.compute (fun () -> Girg.Mutate.apply ~seed inst ops)
+                  locked t (fun () -> Girg.Mutate.apply ~seed inst ops)
                 in
                 (* The insert bumps the name's generation, so every
                    cached route keyed on the old generation is dead by
@@ -378,7 +389,7 @@ let run t ?deadline request =
            compute mutex is held per stage, not across the whole
            scenario, so health and stats answer between epochs. *)
         let measure inst =
-          locked t.compute (fun () ->
+          locked t (fun () ->
               Experiments.Churn.measure config ~inst
                 ~epoch:(Graph.epoch inst.Girg.Instance.graph))
         in
@@ -394,7 +405,7 @@ let run t ?deadline request =
                 ~epoch:(Graph.epoch inst.Girg.Instance.graph + 1)
             in
             let mutated =
-              locked t.compute (fun () ->
+              locked t (fun () ->
                   Girg.Mutate.apply ~seed:config.seed inst ops)
             in
             match Registry.insert t.reg ~name:instance mutated with

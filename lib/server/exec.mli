@@ -5,7 +5,9 @@
     that serialises work entering the shared {!Parallel.Global} pool —
     [Pool.run] must not be called concurrently from two domains, so
     [sample] and [route_batch] take the lock while single routes and
-    lookups run lock-free in parallel.
+    lookups run lock-free in parallel.  The wait to take the lock is
+    recorded into the [server.compute.mutex_wait] histogram (obs on
+    only), which [stats-server] reports beside the stages.
 
     Each server owns one live {!Obs.Metrics.registry}, exempt from
     [SMALLWORLD_OBS].  Every [server.*] counter (its own and the
@@ -13,7 +15,7 @@
     from their owners at snapshot time and never stored.  [health],
     [stats-server], the Prometheus text and the drain manifest all
     read the same {!snapshot}.  Two servers in one process never share a
-    count.  Only the stage, latency and GC histograms live in
+    count.  Only the stage, latency, mutex-wait and GC histograms live in
     {!Obs.Metrics.default}, on the kill switch. *)
 
 type t
@@ -109,7 +111,8 @@ val server_stats : t -> Api.V1.server_stats_reply
 (** The [stats-server] snapshot: uptime, drain state, counters and
     gauges in name order (plus a computed
     [server.registry.gen.<name>] gauge per instance), per-stage
-    latency quantiles, and the {!prometheus} text of the same
+    latency and compute-mutex-wait quantiles, and the {!prometheus}
+    text of the same
     snapshot.  Never takes the compute mutex, so it answers under full
     load. *)
 

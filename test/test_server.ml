@@ -1136,6 +1136,31 @@ let test_server_stats_over_tcp () =
                substr s.V1.prometheus "smallworld_server_accepted")
           end))
 
+(* Two concurrent samples each take the compute mutex once, and each
+   take is timed into compute.mutex_wait — only with obs on. *)
+let test_compute_mutex_wait () =
+  Obs.Metrics.reset Obs.Metrics.default;
+  with_daemon ~workers:2 (fun _t port ->
+      let a = connect port and b = connect port in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close [ a; b ])
+        (fun () ->
+          send_all a (V1.request_line (V1.envelope (sample_req "a" 1)) ^ "\n");
+          send_all b (V1.request_line (V1.envelope (sample_req "b" 2)) ^ "\n");
+          List.iter
+            (fun fd ->
+              match (ok (V1.reply_of_line (recv_line fd))).V1.response with
+              | V1.Sampled _ -> ()
+              | r -> check_code "sample" E.Internal r)
+            [ a; b ];
+          let s = get_stats (rpc a (V1.envelope V1.Server_stats)) in
+          match List.find_opt (fun st -> st.V1.stage = "compute.mutex_wait") s.V1.stages with
+          | None -> Alcotest.fail "no compute.mutex_wait in stats-server"
+          | Some st ->
+              if Obs.Metrics.enabled then
+                Alcotest.(check bool) "two waits recorded" true (st.V1.s_count >= 2)
+              else Alcotest.(check int) "no clock reads under OBS=0" 0 st.V1.s_count))
+
 (* Nearest-rank [q]-quantile of a non-empty sample. *)
 let quantile q xs =
   let a = Array.of_list xs in
@@ -1313,6 +1338,46 @@ let test_admin_port () =
       let ex = Server.Daemon.exec t in
       Alcotest.(check int) "admin requests uncounted" 1 (Server.Exec.accepted ex))
 
+(* The admin plane shares the event loop: a silent admin connection is
+   one idle table entry, so a scrape behind it answers at once rather
+   than after an idle timeout. *)
+let test_admin_idle_does_not_stall () =
+  with_daemon ~admin_port:0 (fun t _port ->
+      let admin = Option.get (Server.Daemon.admin_port t) in
+      let idle = connect admin in
+      Fun.protect ~finally:(fun () -> Unix.close idle) (fun () ->
+          Unix.sleepf 0.1;
+          let fd = connect admin in
+          let dump, ms =
+            timed_ms (fun () ->
+                send_all fd "GET /metrics HTTP/1.0\r\n\r\n";
+                recv_all fd)
+          in
+          Unix.close fd;
+          Alcotest.(check bool) "/metrics is 200" true (substr dump "HTTP/1.0 200 OK");
+          if ms >= 1000.0 then
+            Alcotest.failf "scrape behind an idle admin connection took %.0f ms" ms))
+
+(* Two JSON lines in one send on one admin connection: both answered,
+   in order. *)
+let test_admin_pipelined_json () =
+  with_daemon ~admin_port:0 (fun t _port ->
+      let fd = connect (Option.get (Server.Daemon.admin_port t)) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          send_all fd
+            (V1.request_line (V1.envelope ~id:1 V1.Server_stats)
+            ^ "\n"
+            ^ V1.request_line (V1.envelope ~id:2 V1.Health)
+            ^ "\n");
+          let first = ok (V1.reply_of_line (recv_line fd)) in
+          let second = ok (V1.reply_of_line (recv_line fd)) in
+          Alcotest.(check (option int)) "first reply id" (Some 1) first.V1.reply_id;
+          ignore (get_stats first.V1.response);
+          Alcotest.(check (option int)) "second reply id" (Some 2) second.V1.reply_id;
+          match second.V1.response with
+          | V1.Health_reply _ -> ()
+          | r -> check_code "health" E.Internal r))
+
 (* Two servers in one process keep separate counts, and each one's
    stats-server reply agrees with its own Prometheus text: every
    counter and state gauge has one storage cell, which every reader
@@ -1459,6 +1524,88 @@ let test_daemon_access_log () =
           | Error _ -> ())
         lines)
 
+(* Peers that vanish mid-request.  A half-sent binary frame followed by
+   a close leaves nothing in flight.  A route request whose client
+   resets the connection before the reply is still retired: one access
+   line with write_ms 0, and the inflight gauge returns to 0.  The
+   route queues behind a snapshot that blocks on opening a FIFO, so the
+   reset lands before the reply on every run. *)
+let test_daemon_peer_disconnect () =
+  (* A write to the reset socket must come back as an error, not kill
+     this process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = Filename.temp_file "smallworld_access" ".jsonl" in
+  let fifo = Filename.temp_file "smallworld_snapshot" ".fifo" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; fifo ])
+    (fun () ->
+      with_daemon ~workers:1 ~access_log:path (fun t port ->
+          let ex = Server.Daemon.exec t in
+          let poll what cond =
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            let rec go () =
+              if not (cond ()) then
+                if Unix.gettimeofday () > deadline then Alcotest.failf "%s within 2 s" what
+                else begin
+                  Unix.sleepf 0.01;
+                  go ()
+                end
+            in
+            go ()
+          in
+          let settled () =
+            poll "inflight back to 0" (fun () -> Server.Exec.inflight ex = 0);
+            let fd = connect port in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+                match rpc fd (V1.envelope V1.Health) with
+                | V1.Health_reply _ -> ()
+                | r -> check_code "health after a vanished peer" E.Internal r)
+          in
+          let fd = connect port in
+          let half = B.request_frame (V1.envelope (route_req "net" (1, 2))) in
+          send_all fd (String.sub half 0 (String.length half / 2));
+          Unix.close fd;
+          settled ();
+          let a = connect port in
+          Fun.protect ~finally:(fun () -> Unix.close a) (fun () ->
+              (match rpc a (V1.envelope (sample_req "net" 15)) with
+              | V1.Sampled _ -> ()
+              | r -> check_code "sample" E.Internal r);
+              send_all a
+                (V1.request_line (V1.envelope (V1.Snapshot { instance = "net"; out = fifo }))
+                ^ "\n");
+              poll "snapshot started" (fun () -> Server.Exec.inflight ex = 1);
+              let b = connect port in
+              send_all b (V1.request_line (V1.envelope (route_req "net" (1, 2))) ^ "\n");
+              poll "route queued" (fun () ->
+                  gauge_of (Server.Exec.server_stats ex) "server.queue_depth" = 1.0);
+              Unix.setsockopt_optint b Unix.SO_LINGER (Some 0);
+              Unix.close b;
+              let r = Unix.openfile fifo [ Unix.O_RDONLY ] 0 in
+              ignore (recv_all r);
+              Unix.close r;
+              match (ok (V1.reply_of_line (recv_line a))).V1.response with
+              | V1.Snapshotted _ -> ()
+              | r -> check_code "snapshot" E.Internal r);
+          settled ());
+      let routes =
+        In_channel.with_open_text path In_channel.input_lines
+        |> List.filter_map (fun line ->
+               match Obs.Export.json_of_string line with
+               | Ok j when Obs.Export.member "op" j = Some (Obs.Export.Str "route") ->
+                   Some (Obs.Export.member "write_ms" j)
+               | _ -> None)
+      in
+      Alcotest.(check int) "one access line for the vanished route" 1 (List.length routes);
+      (* JSON prints a zero float as "0", which reads back as an int. *)
+      Alcotest.(check bool) "its write_ms is 0" true
+        (match List.hd routes with
+        | Some (Obs.Export.Int 0) -> true
+        | Some (Obs.Export.Float f) -> f = 0.0
+        | _ -> false))
+
 let test_manifest_on_request () =
   let path = Filename.temp_file "smallworld_manifest" ".jsonl" in
   Sys.remove path;
@@ -1474,18 +1621,9 @@ let test_manifest_on_request () =
               | V1.Health_reply _ -> ()
               | r -> check_code "health" E.Internal r);
           Server.Daemon.request_manifest t;
-          (* Poll for the counters, not bare existence: the file is
-             visible from the moment the writer opens it, before the
-             line lands. *)
           let deadline = Unix.gettimeofday () +. 5.0 in
           let rec wait () =
-            let written =
-              Sys.file_exists path
-              && substr
-                   (In_channel.with_open_text path In_channel.input_all)
-                   "\"server.accepted\""
-            in
-            if written then ()
+            if Sys.file_exists path then ()
             else if Unix.gettimeofday () > deadline then
               Alcotest.fail "request_manifest produced no manifest within 5s"
             else begin
@@ -1494,10 +1632,12 @@ let test_manifest_on_request () =
             end
           in
           wait ();
+          let manifest = In_channel.with_open_text path In_channel.input_all in
+          Alcotest.(check bool) "manifest carries server counters" true
+            (substr manifest "\"server.accepted\"");
           (* The manifest carries the state gauges of the same snapshot. *)
           Alcotest.(check bool) "manifest carries server gauges" true
-            (substr (In_channel.with_open_text path In_channel.input_all)
-               "\"server.registry.size\"")))
+            (substr manifest "\"server.registry.size\"")))
 
 let test_daemon_trace_roundtrip () =
   (* End to end through the distributed-trace plumbing: a client-traced
@@ -1734,11 +1874,18 @@ let suite =
       test_server_stats_under_load;
     Alcotest.test_case "admin port: HTTP scrape + restricted JSON" `Quick
       test_admin_port;
+    Alcotest.test_case "admin scrape behind an idle admin connection" `Quick
+      test_admin_idle_does_not_stall;
+    Alcotest.test_case "admin answers two pipelined JSON lines in order" `Quick
+      test_admin_pipelined_json;
+    Alcotest.test_case "compute-mutex wait histogram" `Quick test_compute_mutex_wait;
     Alcotest.test_case "server telemetry: one cell per counter, per server" `Quick
       test_server_telemetry_one_cell;
     Alcotest.test_case "access log sampling is deterministic" `Quick
       test_access_log_sampling_unit;
     Alcotest.test_case "daemon writes the access log" `Quick test_daemon_access_log;
+    Alcotest.test_case "peers vanishing mid-frame and mid-request" `Quick
+      test_daemon_peer_disconnect;
     Alcotest.test_case "request_manifest writes mid-run" `Quick
       test_manifest_on_request;
     Alcotest.test_case "end-to-end distributed trace" `Quick
