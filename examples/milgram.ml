@@ -42,10 +42,22 @@ let () =
       let s = Stats.Summary.of_list lengths in
       Printf.printf "chain length:      mean %.1f, median %.0f, p95 %.0f (six degrees!)\n\n"
         s.Stats.Summary.mean s.Stats.Summary.median s.Stats.Summary.p95;
-      let h = Stats.Histogram.create_linear ~lo:0.5 ~hi:12.5 ~bins:12 in
-      List.iter (fun l -> Stats.Histogram.add h l) lengths;
+      (* Slot l-1 counts chains of l hops; longer chains share the last. *)
+      let counts = Array.make 12 0 in
+      List.iter
+        (fun l ->
+          let i = min 11 (int_of_float l - 1) in
+          counts.(i) <- counts.(i) + 1)
+        lengths;
+      let widest = Array.fold_left max 1 counts in
       print_endline "chain length distribution:";
-      print_string (Stats.Histogram.render ~width:40 h));
+      Array.iteri
+        (fun i c ->
+          if c > 0 then
+            Printf.printf "[%10.4g, %10.4g) %7d %s\n"
+              (float_of_int i +. 0.5) (float_of_int i +. 1.5) c
+              (String.make (c * 40 / widest) '#'))
+        counts);
 
   (* Lost letters are not lost causes: the same local information plus
      backtracking (Theorem 3.4) delivers every letter whose sender and

@@ -1,7 +1,7 @@
 (** The shared error taxonomy of the v1 API.
 
     Every failure the system reports across a boundary — a daemon
-    response line, a CLI diagnostic, a [bench diff] verdict — carries
+    response line, a CLI diagnostic, a [bench scale] gate — carries
     one of these codes.  The string codes are wire-stable (clients and
     CI scripts match on them) and each code maps to a fixed process
     exit status, so shell callers can branch on either.  Free-form
@@ -21,8 +21,8 @@ type code =
   | Io  (** a file could not be read, written or parsed *)
   | Usage  (** command line misuse *)
   | Incomparable
-      (** two artifacts cannot be diffed (e.g. bench reports recorded
-          at different job counts) *)
+      (** two artifacts cannot be compared.  No caller raises it; it
+          stays because it is part of the pinned v1 wire taxonomy. *)
   | Regression  (** a bench gate tripped: measured regression beyond threshold *)
   | Internal  (** unexpected exception; a bug, not a caller error *)
 

@@ -38,6 +38,9 @@ val apply : seed:int -> Instance.t -> op list -> Instance.t
     ([Graph.epoch] of the result is one above the input's — an empty
     script still advances the version) and returns
     the new instance; [inst] is unchanged and stays routable (readers
-    pin the version they hold).
+    pin the version they hold).  Cost: one {!Sparse_graph.Graph.apply}
+    per op plus one for the leading empty apply, each O(n + m) (see its
+    cost note), so a k-op script is (k + 1) full passes: about 47.8 ms
+    per op at n = 2^16.
     @raise Invalid_argument on out-of-range vertices — call {!validate}
     first on untrusted input. *)

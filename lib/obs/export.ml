@@ -69,7 +69,7 @@ let json_to_string j =
   Buffer.contents buf
 
 (* Recursive-descent parser for the same JSON subset the emitter
-   produces (used by `bench diff` to read BENCH_*.json files back). *)
+   produces (the v1 JSON codec, trace and event readers use it). *)
 let json_of_string s =
   let n = String.length s in
   let pos = ref 0 in

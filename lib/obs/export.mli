@@ -15,7 +15,7 @@ val json_to_string : json -> string
 
 val json_of_string : string -> (json, string) result
 (** Parse the JSON subset {!json_to_string} produces (no unicode beyond
-    one-byte [\u] escapes).  Used to read [BENCH_*.json] files back. *)
+    one-byte [\u] escapes). *)
 
 val member : string -> json -> json option
 (** Field lookup on an [Obj]; [None] on anything else. *)

@@ -144,8 +144,11 @@ val apply : ?epoch:int -> t -> mutation list -> t
     new view; [t] itself is unchanged and remains valid (readers pin
     the epoch they hold).  [epoch] defaults to [epoch t + 1]; callers
     batching several {!apply} calls into one logical version pass the
-    same epoch explicitly.  Cost: O(changes) for the delta plus one
-    O(n + m) recount of the merged edge total.
+    same epoch explicitly.  Cost: not O(changes).  The base arrays are
+    shared, but every call copies the delta (the n-byte departure map,
+    the n-slot overlay array and the dropped-edge table) and then
+    recounts the merged edge total in O(n + m): about 47.8 ms per call
+    at n = 2^16 on perfbench's serve-churn workload.
     @raise Invalid_argument on an out-of-range vertex, a self-loop
     [Add_edge], or an [Add_edge] touching a departed endpoint. *)
 

@@ -6,9 +6,12 @@
    any drift in emitted numbers — formulas, operation order, tie-breaks —
    fails here first.
 
+   The allocation budgets in [golden/alloc_quick.txt] ("Allocation
+   budget" below) are checked here and by test_registry.ml's smoke runs.
+
    Regenerate (only when an intentional output change lands) with:
      SMALLWORLD_GOLDEN_REGEN=/abs/path/to/test/golden \
-       dune exec test/test_main.exe -- test golden *)
+       dune exec test/test_main.exe -- test 'golden|experiments.registry' *)
 
 let regen_dir = Sys.getenv_opt "SMALLWORLD_GOLDEN_REGEN"
 
@@ -49,6 +52,92 @@ let check_or_regen ~name actual =
             | None -> Alcotest.failf "golden %s: outputs differ" name
           end
     end
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget: the bytes each Quick-scale experiment, and each
+   half of the text/binary snapshot-load pair, allocates, pinned one
+   "ID BYTES" line per id in [golden/alloc_quick.txt].  Allocation is
+   deterministic at a fixed seed, so a case fails only on a structural
+   change (a hot path started boxing): more than twice its budget and
+   more than 1 MB over it.  [Gc.allocated_bytes] counts the calling
+   domain alone, so the check runs only at jobs = 1.  The same
+   SMALLWORLD_GOLDEN_REGEN run rewrites the budgets. *)
+
+let alloc_file = "alloc_quick.txt"
+let load_ids = [ "load/text"; "load/binary" ]
+let budget_ids = List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all @ load_ids
+let alloc_gated () = Parallel.Global.jobs () = 1
+
+let read_budgets () =
+  match read_fixture alloc_file with
+  | None -> []
+  | Some contents ->
+      String.split_on_char '\n' contents
+      |> List.filter_map (fun line ->
+             match String.split_on_char ' ' line with
+             | [ "" ] -> None
+             | [ id; bytes ] when int_of_string_opt bytes <> None -> Some (id, int_of_string bytes)
+             | _ -> Alcotest.failf "%s: malformed line %S" alloc_file line)
+
+let allocating f =
+  let a0 = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Float.to_int (Gc.allocated_bytes () -. a0))
+
+let check_alloc id bytes =
+  if not (alloc_gated ()) then
+    Printf.printf "allocation check of %s skipped: jobs=%d, and only jobs=1 counts every byte\n"
+      id (Parallel.Global.jobs ())
+  else
+    match regen_dir with
+    | Some _ ->
+        let budgets = (id, bytes) :: List.remove_assoc id (read_budgets ()) in
+        List.filter_map
+          (fun i -> Option.map (Printf.sprintf "%s %d\n" i) (List.assoc_opt i budgets))
+          budget_ids
+        |> String.concat ""
+        |> check_or_regen ~name:alloc_file
+    | None -> (
+        match List.assoc_opt id (read_budgets ()) with
+        | None ->
+            Alcotest.failf "%s has no allocation budget in %s (run with SMALLWORLD_GOLDEN_REGEN)"
+              id alloc_file
+        | Some budget ->
+            if bytes > 2 * budget && bytes - budget > 1_048_576 then
+              Alcotest.failf "%s allocated %d bytes, over twice its budget of %d bytes (%s)" id
+                bytes budget alloc_file)
+
+(* The experiments are measured where test_registry.ml smoke-runs each
+   of them.  One n=30000 instance loaded through the text and the binary
+   codec completes the set: the binary loader's budget is a fraction of
+   the text parser's, so a binary path that drifted toward parsing fails
+   here. *)
+let load_alloc_test () =
+  if not (alloc_gated ()) then Alcotest.skip ();
+  let params = Girg.Params.make ~dim:2 ~beta:2.5 ~c:0.15 ~n:30_000 () in
+  let inst = Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:42) params in
+  let text_path = Filename.temp_file "alloc-snap" ".girg" in
+  let bin_path = Filename.temp_file "alloc-snap" ".girgb" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove text_path;
+      Sys.remove bin_path)
+    (fun () ->
+      Girg.Store.save ~path:text_path inst;
+      Girg.Store.save_binary ~path:bin_path inst;
+      List.iter2
+        (fun id path ->
+          match allocating (fun () -> Girg.Store.load ~path) with
+          | Ok _, bytes -> check_alloc id bytes
+          | Error e, _ -> Alcotest.failf "%s: %s" path e)
+        load_ids [ text_path; bin_path ])
+
+(* No experiment can go ungated: the budget file names exactly the
+   registry's ids and the two loads, in that order. *)
+let alloc_coverage_test () =
+  Alcotest.(check (list string))
+    (alloc_file ^ " ids") budget_ids
+    (List.map fst (read_budgets ()))
 
 (* ------------------------------------------------------------------ *)
 (* Experiment tables *)
@@ -157,4 +246,6 @@ let suite =
   @ [
       Alcotest.test_case "route events byte-identical" `Slow route_events_test;
       Alcotest.test_case "workload results byte-identical" `Slow workload_results_test;
+      Alcotest.test_case "allocation of snapshot loads within budget" `Slow load_alloc_test;
+      Alcotest.test_case "allocation budget covers every experiment" `Quick alloc_coverage_test;
     ]

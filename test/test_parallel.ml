@@ -9,8 +9,11 @@ let with_pool jobs f =
   let pool = Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* Restores the job count the suite runs at (SMALLWORLD_JOBS), so later
+   suites keep running at it. *)
 let with_global_jobs jobs f =
-  Fun.protect ~finally:(fun () -> Parallel.Global.set_jobs 1)
+  let prev = Parallel.Global.jobs () in
+  Fun.protect ~finally:(fun () -> Parallel.Global.set_jobs prev)
     (fun () -> Parallel.Global.set_jobs jobs; f ())
 
 (* ------------------------------------------------------------------ *)

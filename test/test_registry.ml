@@ -23,10 +23,11 @@ let test_claims_nonempty () =
 
 (* Smoke-run every experiment at Quick scale: tables must render, have a
    header, and at least one data row.  This doubles as an integration test
-   of generators + protocols + workloads end to end. *)
+   of generators + protocols + workloads end to end, and the run's
+   allocation is held to its budget (see test_golden.ml). *)
 let smoke_run e () =
   let ctx = Context.make ~seed:7 ~scale:Context.Quick () in
-  let tables = e.Registry.run ctx in
+  let tables, bytes = Test_golden.allocating (fun () -> e.Registry.run ctx) in
   Alcotest.(check bool) "at least one table" true (tables <> []);
   List.iter
     (fun t ->
@@ -36,7 +37,8 @@ let smoke_run e () =
       Alcotest.(check bool) "renders" true (String.length rendered > 0);
       let csv = Stats.Table.to_csv t in
       Alcotest.(check bool) "csv" true (String.length csv > 0))
-    tables
+    tables;
+  Test_golden.check_alloc e.Registry.id bytes
 
 let test_run_and_render () =
   match Registry.find "E4" with

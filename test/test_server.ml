@@ -323,10 +323,11 @@ let test_daemon_route_byte_identity () =
 let test_daemon_batch_jobs_invariance () =
   with_daemon (fun _t port ->
       let fd = connect port in
+      let prev_jobs = Parallel.Global.jobs () in
       Fun.protect
         ~finally:(fun () ->
           Unix.close fd;
-          Parallel.Global.set_jobs 0)
+          Parallel.Global.set_jobs prev_jobs)
         (fun () ->
           (match rpc fd (V1.envelope (sample_req "net" 6)) with
           | V1.Sampled _ -> ()
