@@ -243,7 +243,8 @@ let run_mutate (exec : Api.V1.exec_opts) ~path ~ops ~seed =
     }
   in
   Girg.Store.save ~path:output folded;
-  let g = folded.Girg.Instance.graph in
+  (* Counted before compaction: compact makes departed vertices live. *)
+  let g = mutated.Girg.Instance.graph in
   Printf.printf "mutated %s -> %s: epoch %d, %d ops, %d/%d live, %d edges\n" path
     output
     (Sparse_graph.Graph.epoch g)

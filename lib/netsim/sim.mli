@@ -33,7 +33,8 @@ val trace_id : 'msg t -> int
     carries [(trace_id, msg_id, parent_id)] lineage; when the flight
     recorder is on, sends and deliveries appear as
     {!Obs.Events.Msg_send} / {!Obs.Events.Msg_recv} events carrying it,
-    from which {!Causal} rebuilds the message tree. *)
+    so the message tree can be read off the event list: each send's
+    [parent] is the message whose handler sent it. *)
 
 val inject : 'msg t -> ?time:float -> dst:int -> 'msg -> unit
 (** Enqueue an initial message, delivered at [time] (default 0.0) with

@@ -171,6 +171,31 @@ let with_instance t name f =
   | Ok handle ->
       Fun.protect ~finally:(fun () -> Registry.release t.reg handle) (fun () -> f handle)
 
+(* Read the version of [name] registered now, apply [ops_of]'s script
+   to it, and register the result, all under the compute mutex.  Two
+   writers of one name therefore serialise: each builds on the version
+   the other registered, and no insert discards another's ops.  The
+   insert bumps the name's generation, so every cached route keyed on
+   the old generation is dead by key construction; the sweep just
+   reclaims the slots eagerly.  Returns the new version and the
+   generation it was registered at. *)
+let mutate_registered t name ~seed ops_of =
+  locked t (fun () ->
+      match Registry.acquire t.reg name with
+      | Error e -> Error e
+      | Ok handle ->
+          Fun.protect ~finally:(fun () -> Registry.release t.reg handle) (fun () ->
+              let inst = Registry.instance handle in
+              match ops_of inst with
+              | Error e -> Error e
+              | Ok ops -> (
+                  let mutated = Girg.Mutate.apply ~seed inst ops in
+                  match Registry.insert t.reg ~name mutated with
+                  | Error e -> Error e
+                  | Ok _info ->
+                      Cache.invalidate_name t.cache ~name;
+                      Ok (mutated, Registry.generation t.reg name))))
+
 (* [>=], not [>]: the deadline instant itself is expired, so a
    [deadline_ms = 0] request deterministically misses even when both
    clock reads land on the same microsecond tick. *)
@@ -352,71 +377,57 @@ let run t ?deadline request =
                   }
             | exception Sys_error m ->
                 V1.Failed (Error.make Error.Io "cannot write snapshot %s: %s" out m))
-    | V1.Mutate { instance; ops; seed } ->
-        with_instance t instance (fun h ->
-            let inst = Registry.instance h in
-            match
-              Girg.Mutate.validate ~n:(Graph.n inst.Girg.Instance.graph) ops
-            with
-            | Error m -> V1.Failed (Error.make Error.Bad_request "%s" m)
-            | Ok () -> (
-                let mutated =
-                  locked t (fun () -> Girg.Mutate.apply ~seed inst ops)
-                in
-                (* The insert bumps the name's generation, so every
-                   cached route keyed on the old generation is dead by
-                   key construction; the sweep below just reclaims the
-                   slots eagerly. *)
-                match Registry.insert t.reg ~name:instance mutated with
-                | Error e -> V1.Failed e
-                | Ok _info ->
-                    Cache.invalidate_name t.cache ~name:instance;
-                    let g = mutated.Girg.Instance.graph in
-                    V1.Mutated
-                      {
-                        V1.mu_name = instance;
-                        mu_epoch = Graph.epoch g;
-                        mu_generation = Registry.generation t.reg instance;
-                        mu_live = Graph.live_count g;
-                        mu_vertices = Graph.n g;
-                        mu_edges = Graph.m g;
-                        mu_applied = List.length ops;
-                      }))
+    | V1.Mutate { instance; ops; seed } -> (
+        let validated inst =
+          match Girg.Mutate.validate ~n:(Graph.n inst.Girg.Instance.graph) ops with
+          | Error m -> Error (Error.make Error.Bad_request "%s" m)
+          | Ok () -> Ok ops
+        in
+        match mutate_registered t instance ~seed validated with
+        | Error e -> V1.Failed e
+        | Ok (mutated, generation) ->
+            let g = mutated.Girg.Instance.graph in
+            V1.Mutated
+              {
+                V1.mu_name = instance;
+                mu_epoch = Graph.epoch g;
+                mu_generation = generation;
+                mu_live = Graph.live_count g;
+                mu_vertices = Graph.n g;
+                mu_edges = Graph.m g;
+                mu_applied = List.length ops;
+              })
     | V1.Churn { instance; config } ->
-        (* One epoch = plan against the current version, apply as a
-           fresh insert (generation bump + cache sweep, exactly like a
-           standalone mutate), then measure on the new version.  The
-           compute mutex is held per stage, not across the whole
-           scenario, so health and stats answer between epochs. *)
+        (* One epoch = plan against the registered version, apply and
+           insert it (generation bump + cache sweep, exactly like a
+           standalone mutate, and like it under the compute mutex, so a
+           mutate landing between two epochs is built on, not
+           overwritten), then measure the new version.  The mutex is
+           held per stage, not across the whole scenario, so health and
+           stats answer between epochs. *)
         let measure inst =
           locked t (fun () ->
               Experiments.Churn.measure config ~inst
                 ~epoch:(Graph.epoch inst.Girg.Instance.graph))
         in
-        let rec epochs inst rows left =
+        let plan inst =
+          Ok
+            (Experiments.Churn.plan config ~inst
+               ~epoch:(Graph.epoch inst.Girg.Instance.graph + 1))
+        in
+        let rec epochs rows left =
           if left = 0 then Ok (List.rev rows)
           else if expired ?deadline () then begin
             note_deadline t;
             Error deadline_error
           end
           else
-            let ops =
-              Experiments.Churn.plan config ~inst
-                ~epoch:(Graph.epoch inst.Girg.Instance.graph + 1)
-            in
-            let mutated =
-              locked t (fun () ->
-                  Girg.Mutate.apply ~seed:config.seed inst ops)
-            in
-            match Registry.insert t.reg ~name:instance mutated with
+            match mutate_registered t instance ~seed:config.seed plan with
             | Error e -> Error e
-            | Ok _info ->
-                Cache.invalidate_name t.cache ~name:instance;
-                epochs mutated (measure mutated :: rows) (left - 1)
+            | Ok (mutated, _) -> epochs (measure mutated :: rows) (left - 1)
         in
         with_instance t instance (fun h ->
-            let inst = Registry.instance h in
-            match epochs inst [ measure inst ] config.epochs with
+            match epochs [ measure (Registry.instance h) ] config.epochs with
             | Error e -> V1.Failed e
             | Ok rows ->
                 V1.Churned

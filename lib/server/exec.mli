@@ -5,7 +5,9 @@
     that serialises work entering the shared {!Parallel.Global} pool —
     [Pool.run] must not be called concurrently from two domains, so
     [sample] and [route_batch] take the lock while single routes and
-    lookups run lock-free in parallel.  The wait to take the lock is
+    lookups run lock-free in parallel.  [mutate] and each [churn] epoch
+    read the registered version, apply and re-insert under the lock, so
+    concurrent writers of one name build on each other's versions.  The wait to take the lock is
     recorded into the [server.compute.mutex_wait] histogram (obs on
     only), which [stats-server] reports beside the stages.
 

@@ -179,6 +179,30 @@ let test_matches_workload () =
       Alcotest.(check int) "greedy never hits the cutoff" 0 res.Workload.cutoff;
       feq "hop mean = mean_steps" (Workload.mean_steps res) a.A.hop_mean;
       feq "dead end rate = failure rate" (Workload.failure_rate res) a.A.dead_end_rate;
+      Alcotest.(check bool) "0 < hop mean <= hop max" true
+        (0.0 < a.A.hop_mean && a.A.hop_mean <= float_of_int a.A.hop_max);
+      Alcotest.(check bool) "p50 <= p90 <= max" true
+        (a.A.hop_p50 <= a.A.hop_p90 && a.A.hop_p90 <= float_of_int a.A.hop_max);
+      (* The stream survives the smallworld.events.v1 file that
+         `--events-out` writes and `obs_cli events analyze` reads: the
+         report from the decoded lines is the same document. *)
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun e -> Buffer.add_string buf (Obs.Export.event_line e ^ "\n"))
+        (E.events ());
+      let decoded =
+        List.filter_map
+          (fun line ->
+            if line = "" then None
+            else
+              match Result.bind (Obs.Export.json_of_string line) Obs.Export.event_of_json with
+              | Ok e -> Some e
+              | Error m -> Alcotest.failf "event line does not decode: %s (%s)" line m)
+          (String.split_on_char '\n' (Buffer.contents buf))
+      in
+      Alcotest.(check string) "analysis of the decoded file"
+        (Obs.Export.json_to_string (A.to_json a))
+        (Obs.Export.json_to_string (A.to_json (A.analyze ~n decoded)));
       (* Greedy objectives strictly improve along a walk, so the
          progress curve exists and starts at hop 0 with every route. *)
       match a.A.progress with

@@ -161,6 +161,13 @@ let test_churn_scenarios_behave () =
   (* Adversarial churn removes exactly [events] live vertices per epoch. *)
   let cfg = config Experiments.Churn.Adversarial ~events:5 ~quit:0.0 in
   let _, rows = Experiments.Churn.run_local cfg inst in
+  Alcotest.(check int) "baseline + one row per epoch" (cfg.epochs + 1) (List.length rows);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) "smallworld.churn.v1 record" true
+        (Obs.Export.member "record" (Experiments.Churn.record_json cfg row)
+        = Some (Obs.Export.Str "smallworld.churn.v1")))
+    rows;
   let base, rest = baseline_then_epochs rows in
   Alcotest.(check int) "baseline epoch" 0 base.Experiments.Churn.epoch;
   List.iteri

@@ -191,8 +191,46 @@ let with_recorder f =
     Fun.protect ~finally:(fun () -> Obs.Events.set_recording was) f
   end
 
+(* The lineage of one simulation, read straight off the event list:
+   every send as (msg, parent, kind) in send order, and every delivery
+   as (msg, dst) in delivery order. *)
+let sends ~trace events =
+  List.filter_map
+    (fun (e : Obs.Events.event) ->
+      match e.payload with
+      | Obs.Events.Msg_send { trace = t; msg; parent; kind; _ } when t = trace ->
+          Some (msg, parent, kind)
+      | _ -> None)
+    events
+
+let deliveries ~trace events =
+  List.filter_map
+    (fun (e : Obs.Events.event) ->
+      match e.payload with
+      | Obs.Events.Msg_recv { trace = t; msg; dst; _ } when t = trace -> Some (msg, dst)
+      | _ -> None)
+    events
+
+let walk ~trace events = List.map snd (deliveries ~trace events)
+
+(* Token passing forms one chain: the first send is an injected root
+   (parent -1) and each later send's parent is the previous message. *)
+let is_chain sends =
+  sends <> []
+  && fst
+       (List.fold_left
+          (fun (ok, prev) (msg, parent, _) -> (ok && parent = prev, msg))
+          (true, -1) sends)
+
+let trace_ids events =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (e : Obs.Events.event) ->
+         match e.payload with Obs.Events.Msg_send { trace; _ } -> Some trace | _ -> None)
+       events)
+
 let sole_trace events =
-  match Netsim.Causal.trace_ids events with
+  match trace_ids events with
   | [ tid ] -> tid
   | ids -> Alcotest.failf "expected one trace, got %d" (List.length ids)
 
@@ -206,24 +244,19 @@ let test_causal_ping_pong_chain () =
       Netsim.Sim.inject sim ~dst:0 0;
       ignore (Netsim.Sim.run sim);
       let events = Obs.Events.events () in
-      let tid = sole_trace events in
-      Alcotest.(check int) "sim trace id" (Netsim.Sim.trace_id sim) tid;
-      let forest = Netsim.Causal.of_trace ~trace_id:tid events in
-      Alcotest.(check bool) "token passing is a chain" true (Netsim.Causal.is_chain forest);
-      Alcotest.(check (list int)) "delivery walk" [ 0; 1; 0; 1; 0; 1 ]
-        (Netsim.Causal.delivery_walk forest);
-      match forest with
-      | [ root ] ->
-          Alcotest.(check int) "root is injected" (-1) root.Netsim.Causal.parent_id;
-          Alcotest.(check string) "kind from msg_label" "ping" root.Netsim.Causal.kind;
-          Alcotest.(check int) "size counts all messages" 6 (Netsim.Causal.size root);
-          Alcotest.(check int) "chain depth" 6 (Netsim.Causal.depth root)
-      | _ -> Alcotest.fail "expected a single root")
+      let trace = sole_trace events in
+      Alcotest.(check int) "sim trace id" (Netsim.Sim.trace_id sim) trace;
+      let sent = sends ~trace events in
+      Alcotest.(check bool) "token passing is a chain" true (is_chain sent);
+      Alcotest.(check int) "one send per message" 6 (List.length sent);
+      Alcotest.(check bool) "kind from msg_label" true
+        (List.for_all (fun (_, _, kind) -> kind = "ping") sent);
+      Alcotest.(check (list int)) "delivery walk" [ 0; 1; 0; 1; 0; 1 ] (walk ~trace events))
 
 let test_causal_fanout_tree () =
   with_recorder (fun () ->
-      (* Node 0 fans out to 1..3; each leaf acks back.  The tree has one
-         root with three children, each with one child. *)
+      (* Node 0 fans out to 1..3; each leaf acks back.  The root has three
+         children, each with one child. *)
       let handler (api : string Netsim.Sim.api) ~src:_ = function
         | "start" ->
             for dst = 1 to 3 do
@@ -235,44 +268,46 @@ let test_causal_fanout_tree () =
       let sim = Netsim.Sim.create ~n:4 ~msg_label:Fun.id ~handler () in
       Netsim.Sim.inject sim ~dst:0 "start";
       ignore (Netsim.Sim.run sim);
-      let forest = Netsim.Causal.of_trace ~trace_id:(Netsim.Sim.trace_id sim) (Obs.Events.events ()) in
-      Alcotest.(check bool) "fan-out is not a chain" false (Netsim.Causal.is_chain forest);
-      match forest with
-      | [ root ] ->
-          Alcotest.(check int) "three children" 3 (List.length root.Netsim.Causal.children);
-          Alcotest.(check int) "seven messages" 7 (Netsim.Causal.size root);
-          Alcotest.(check int) "depth start->work->ack" 3 (Netsim.Causal.depth root);
+      let events = Obs.Events.events () in
+      let trace = Netsim.Sim.trace_id sim in
+      let sent = sends ~trace events in
+      Alcotest.(check bool) "fan-out is not a chain" false (is_chain sent);
+      Alcotest.(check int) "seven messages" 7 (List.length sent);
+      let children parent = List.filter (fun (_, p, _) -> p = parent) sent in
+      match children (-1) with
+      | [ (root, _, "start") ] ->
+          let work = children root in
+          Alcotest.(check int) "the root has three children" 3 (List.length work);
+          let delivered = List.map fst (deliveries ~trace events) in
           List.iter
-            (fun (c : Netsim.Causal.node) ->
-              Alcotest.(check string) "middle layer" "work" c.Netsim.Causal.kind;
-              Alcotest.(check int) "parent is root" root.Netsim.Causal.msg_id
-                c.Netsim.Causal.parent_id;
-              Alcotest.(check bool) "delivered" true (c.Netsim.Causal.recv_seq <> None))
-            root.Netsim.Causal.children
-      | _ -> Alcotest.fail "expected a single root")
+            (fun (msg, _, kind) ->
+              Alcotest.(check string) "middle layer" "work" kind;
+              Alcotest.(check bool) "delivered" true (List.mem msg delivered);
+              match children msg with
+              | [ (_, _, "ack") ] -> ()
+              | _ -> Alcotest.fail "each work message sends one ack")
+            work
+      | _ -> Alcotest.fail "expected a single injected start message")
 
 let test_causal_undelivered_leaf () =
   with_recorder (fun () ->
       (* Every delivery sends one more message; capping deliveries leaves
-         the last send in flight: present in the tree, but never received. *)
+         the last send in flight: recorded, but never received. *)
       let handler (api : unit Netsim.Sim.api) ~src:_ () = api.Netsim.Sim.send ~dst:0 () in
       let sim = Netsim.Sim.create ~n:1 ~handler () in
       Netsim.Sim.inject sim ~dst:0 ();
       let stats = Netsim.Sim.run ~max_deliveries:4 sim in
       Alcotest.(check bool) "truncated" true stats.Netsim.Sim.truncated;
-      let forest = Netsim.Causal.of_trace ~trace_id:(Netsim.Sim.trace_id sim) (Obs.Events.events ()) in
-      match forest with
-      | [ root ] ->
-          Alcotest.(check int) "5 sends recorded" 5 (Netsim.Causal.size root);
-          let undelivered =
-            Netsim.Causal.fold
-              (fun acc n -> if n.Netsim.Causal.recv_seq = None then acc + 1 else acc)
-              0 root
-          in
-          Alcotest.(check int) "exactly the in-flight one" 1 undelivered;
-          Alcotest.(check (list int)) "walk stops at the truncation" [ 0; 0; 0; 0 ]
-            (Netsim.Causal.delivery_walk forest)
-      | _ -> Alcotest.fail "expected a single root")
+      let events = Obs.Events.events () in
+      let trace = Netsim.Sim.trace_id sim in
+      let sent = sends ~trace events in
+      Alcotest.(check int) "5 sends recorded" 5 (List.length sent);
+      Alcotest.(check bool) "still one chain" true (is_chain sent);
+      let delivered = List.map fst (deliveries ~trace events) in
+      Alcotest.(check int) "exactly the in-flight one undelivered" 1
+        (List.length (List.filter (fun (msg, _, _) -> not (List.mem msg delivered)) sent));
+      Alcotest.(check (list int)) "walk stops at the truncation" [ 0; 0; 0; 0 ]
+        (walk ~trace events))
 
 let test_causal_traces_are_separated () =
   with_recorder (fun () ->
@@ -289,17 +324,15 @@ let test_causal_traces_are_separated () =
       ignore (Netsim.Sim.run a);
       ignore (Netsim.Sim.run b);
       let events = Obs.Events.events () in
-      let ids = Netsim.Causal.trace_ids events in
+      let ids = trace_ids events in
       Alcotest.(check (list int)) "both traces present"
         (List.sort compare [ Netsim.Sim.trace_id a; Netsim.Sim.trace_id b ])
         ids;
       List.iter
-        (fun tid ->
-          let forest = Netsim.Causal.of_trace ~trace_id:tid events in
+        (fun trace ->
           Alcotest.(check bool) "each trace is its own chain" true
-            (Netsim.Causal.is_chain forest);
-          Alcotest.(check (list int)) "three deliveries each" [ 0; 0; 0 ]
-            (Netsim.Causal.delivery_walk forest))
+            (is_chain (sends ~trace events));
+          Alcotest.(check (list int)) "three deliveries each" [ 0; 0; 0 ] (walk ~trace events))
         ids)
 
 let test_causal_greedy_walk_matches_sequential () =
@@ -311,17 +344,15 @@ let test_causal_greedy_walk_matches_sequential () =
         Obs.Events.clear ();
         let distributed, _ = Netsim.Dist_greedy.run ~inst ~source:s ~target:t () in
         let events = Obs.Events.events () in
-        let forest = Netsim.Causal.of_trace ~trace_id:(sole_trace events) events in
-        Alcotest.(check bool) "greedy trace is a chain" true (Netsim.Causal.is_chain forest);
-        (* The causal tree rebuilt from the log IS the sequential walk. *)
+        let trace = sole_trace events in
+        Alcotest.(check bool) "greedy trace is a chain" true (is_chain (sends ~trace events));
+        (* The delivery sequence of the chain IS the sequential walk. *)
         let objective = Greedy_routing.Objective.girg_phi inst ~target:t in
         let central = Greedy_routing.Greedy.route ~graph:inst.graph ~objective ~source:s () in
         Alcotest.(check (list int)) "causal walk = sequential walk"
-          central.Greedy_routing.Outcome.walk
-          (Netsim.Causal.delivery_walk forest);
+          central.Greedy_routing.Outcome.walk (walk ~trace events);
         Alcotest.(check (list int)) "causal walk = distributed walk"
-          distributed.Greedy_routing.Outcome.walk
-          (Netsim.Causal.delivery_walk forest)
+          distributed.Greedy_routing.Outcome.walk (walk ~trace events)
       done)
 
 let test_causal_dfs_walk_matches_sequential () =
@@ -334,13 +365,12 @@ let test_causal_dfs_walk_matches_sequential () =
         Obs.Events.clear ();
         ignore (Netsim.Dist_dfs.run ~inst ~source:s ~target:t ());
         let events = Obs.Events.events () in
-        let forest = Netsim.Causal.of_trace ~trace_id:(sole_trace events) events in
-        Alcotest.(check bool) "dfs trace is a chain" true (Netsim.Causal.is_chain forest);
+        let trace = sole_trace events in
+        Alcotest.(check bool) "dfs trace is a chain" true (is_chain (sends ~trace events));
         let objective = Greedy_routing.Objective.girg_phi inst ~target:t in
         let central = Greedy_routing.Patch_dfs.route ~graph:inst.graph ~objective ~source:s () in
         Alcotest.(check (list int)) "causal walk = sequential Φ-DFS walk"
-          central.Greedy_routing.Outcome.walk
-          (Netsim.Causal.delivery_walk forest)
+          central.Greedy_routing.Outcome.walk (walk ~trace events)
       done)
 
 let suite =

@@ -214,7 +214,9 @@ let test_exec_out_of_core () =
   | r -> Alcotest.failf "merge_shards failed: %s" (V1.op_of_response r));
   (* The registered instance serves like any other. *)
   (match Server.Exec.handle ex (V1.Stats { instance = "ooc" }) with
-  | V1.Stats_reply s -> Alcotest.(check int) "stats vertices" 400 s.V1.vertices
+  | V1.Stats_reply s ->
+      Alcotest.(check int) "stats vertices" 400 s.V1.vertices;
+      Alcotest.(check bool) "stats edges" true (s.V1.edges > 0)
   | _ -> Alcotest.fail "stats on merged instance failed");
   (* Snapshot, then mmap-load the file and compare shapes. *)
   let snap = Filename.concat dir "ooc.bin" in
@@ -742,7 +744,7 @@ let test_daemon_json_bad_version () =
    observe the bumped generation through the other, and run a churn
    scenario whose rows match a local replay byte for byte. *)
 let test_daemon_mutate_churn () =
-  with_daemon (fun _t port ->
+  with_daemon (fun t port ->
       let fdj = connect port and fdb = connect port in
       Fun.protect
         ~finally:(fun () ->
@@ -769,10 +771,19 @@ let test_daemon_mutate_churn () =
                   ~protocol:Greedy_routing.Protocol.Patch_dfs ~source:0 ~target:399 ()))
               .V1.text
           in
-          (match rpc fdj (V1.envelope (route_req "net" (0, 399))) with
+          let json_line = rpc_raw_line fdj (V1.envelope (route_req "net" (0, 399))) in
+          (match (ok (V1.reply_of_line json_line)).V1.response with
           | V1.Routed r ->
               Alcotest.(check string) "served = local replay" expected r.V1.text
           | r -> check_code "route after mutate" E.Internal r);
+          (* The binary codec gets the same reply, from the cache both
+             codecs share. *)
+          let cache = Server.Exec.cache (Server.Daemon.exec t) in
+          let hits = Server.Cache.hits cache in
+          Alcotest.(check string) "binary reply = JSON reply" json_line
+            (V1.reply_line (brpc_reply fdb (V1.envelope (route_req "net" (0, 399)))));
+          Alcotest.(check int) "binary route hit the shared cache" (hits + 1)
+            (Server.Cache.hits cache);
           let config =
             {
               Experiments.Churn.scenario = Experiments.Churn.Uniform;
@@ -798,6 +809,8 @@ let test_daemon_mutate_churn () =
           in
           match rpc fdj (V1.envelope (V1.Churn { instance = "net"; config })) with
           | V1.Churned c ->
+              Alcotest.(check bool) "scenario echoed" true
+                (c.V1.ch_scenario = Experiments.Churn.Uniform);
               Alcotest.(check int) "baseline + one row per epoch" 3
                 (List.length c.V1.ch_rows);
               Alcotest.(check bool) "rows match a local replay" true
@@ -992,18 +1005,24 @@ let test_exec_mutate_invalidates_cache () =
   Alcotest.(check int) "pinned pre-mutation holder is orphaned" 1
     (Server.Registry.orphaned (Server.Exec.registry ex));
   (* The post-mutation route must be byte-identical to a local replay
-     of the same mutation script — and a recompute, not a stale hit. *)
-  let expected =
-    let mutated = Girg.Mutate.apply ~seed:9 (tiny_instance 1) ops in
+     of the same mutation script — and a recompute, not a stale hit.
+     The replay routes the same on the compacted graph, which is what
+     `graphs_cli mutate` writes to disk. *)
+  let mutated = Girg.Mutate.apply ~seed:9 (tiny_instance 1) ops in
+  let local_route (inst : Girg.Instance.t) =
     (ok
-       (Api.Render.route ~inst:mutated ~protocol:Greedy_routing.Protocol.Patch_dfs
+       (Api.Render.route ~inst ~protocol:Greedy_routing.Protocol.Patch_dfs
           ~source:(fst pair) ~target:(snd pair) ()))
       .V1.text
   in
+  let expected = local_route mutated in
   let after =
     routed_text "post-mutation route" (Server.Exec.handle ex (route_req "net" pair))
   in
   Alcotest.(check string) "served = local replay of the mutation" expected after;
+  Alcotest.(check string) "served = compacted replay" after
+    (local_route
+       { mutated with Girg.Instance.graph = Sparse_graph.Graph.compact mutated.Girg.Instance.graph });
   Alcotest.(check bool) "route actually changed" true (after <> before);
   Alcotest.(check int) "recomputed, not served stale" 2 (Server.Cache.misses cache);
   Alcotest.(check int) "no new hits" 1 (Server.Cache.hits cache);
@@ -1064,6 +1083,68 @@ let test_mutate_single_flight_race () =
   in
   Alcotest.(check string) "no stale entry survived the race" expected served
 
+(* Two mutates of one name, issued while a merge blocked on opening a
+   FIFO holds the compute mutex: both wait on the mutex together, the
+   interleaving under which reading the instance before taking the
+   mutex lets the second insert discard the first's departure.  Each
+   must instead build on the version the other registered. *)
+let test_concurrent_mutates_compose () =
+  let fifo = Filename.temp_file "smallworld_spill" ".fifo" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  Fun.protect ~finally:(fun () -> Sys.remove fifo) @@ fun () ->
+  let ex = Server.Exec.create () in
+  (match Server.Exec.handle ex (sample_req "net" 1) with
+  | V1.Sampled _ -> ()
+  | r -> check_code "sample" E.Internal r);
+  let reg = Server.Exec.registry ex in
+  let gen0 = Server.Registry.generation reg "net" in
+  let blocker =
+    Domain.spawn (fun () ->
+        Server.Exec.handle ex (V1.Merge_shards { name = "blocker"; spills = [ fifo ] }))
+  in
+  (* A non-blocking open for writing succeeds once the merge's open for
+     reading is under way, that is, once the merge holds the mutex. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec writer () =
+    match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+    | fd -> fd
+    | exception Unix.Unix_error (Unix.ENXIO, _, _) ->
+        if Unix.gettimeofday () > deadline then Alcotest.fail "merge never opened the FIFO";
+        Unix.sleepf 0.01;
+        writer ()
+  in
+  let w = writer () in
+  let mutators =
+    List.map
+      (fun v ->
+        Domain.spawn (fun () ->
+            Server.Exec.handle ex
+              (V1.Mutate { instance = "net"; ops = [ Girg.Mutate.Leave v ]; seed = 1 })))
+      [ 5; 9 ]
+  in
+  Unix.sleepf 0.3 (* both mutates reach the mutex *);
+  Unix.close w;
+  ignore (Domain.join blocker);
+  let epochs =
+    List.map
+      (fun d ->
+        match Domain.join d with
+        | V1.Mutated m -> m.V1.mu_epoch
+        | r ->
+            check_code "racing mutate" E.Internal r;
+            0)
+      mutators
+  in
+  Alcotest.(check (list int)) "one epoch each" [ 1; 2 ] (List.sort compare epochs);
+  Alcotest.(check int) "generation rose by 2" (gen0 + 2) (Server.Registry.generation reg "net");
+  let h = ok (Server.Registry.acquire reg "net") in
+  let g = (Server.Registry.instance h).Girg.Instance.graph in
+  Server.Registry.release reg h;
+  Alcotest.(check (list bool)) "both departures visible" [ false; false ]
+    [ Sparse_graph.Graph.live g 5; Sparse_graph.Graph.live g 9 ];
+  Alcotest.(check int) "two vertices departed" 398 (Sparse_graph.Graph.live_count g)
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: stats-server, admin port, access log, manifest timer     *)
 
@@ -1108,24 +1189,31 @@ let test_server_stats_over_tcp () =
           (* 1 sample + 3 routes + this stats-server request. *)
           Alcotest.(check int) "accepted" 5 (counter_of s "server.accepted");
           Alcotest.(check int) "served so far" 4 (counter_of s "server.served");
+          Alcotest.(check int) "three route misses" 3 (counter_of s "server.cache.misses");
+          Alcotest.(check int) "no route hits" 0 (counter_of s "server.cache.hits");
           Alcotest.(check (float 0.0)) "registry size gauge" 1.0
             (gauge_of s "server.registry.size");
           Alcotest.(check (float 0.0)) "inflight is this request" 1.0
             (gauge_of s "server.inflight");
-          ignore (gauge_of s "server.queue_depth");
-          ignore (gauge_of s "server.registry.cap");
+          List.iter
+            (fun g -> ignore (gauge_of s g))
+            [ "server.queue_depth"; "server.registry.cap"; "server.registry.pinned";
+              "server.cache.size"; "server.cache.cap" ];
           if Obs.Metrics.enabled then begin
             let stage name =
               match List.find_opt (fun st -> st.V1.stage = name) s.V1.stages with
               | Some st -> st
               | None -> Alcotest.failf "no %s stage in stats-server reply" name
             in
-            let compute = stage "stage.compute" in
             (* Sample + 3 routes were fully traced before this request. *)
-            Alcotest.(check bool) "compute count >= 4" true (compute.V1.s_count >= 4);
-            Alcotest.(check bool) "quantiles ordered" true
-              (compute.V1.p50 <= compute.V1.p90 && compute.V1.p90 <= compute.V1.p99
-             && compute.V1.p99 <= compute.V1.p999);
+            List.iter
+              (fun name ->
+                let st = stage name in
+                Alcotest.(check bool) (name ^ " count >= 4") true (st.V1.s_count >= 4);
+                Alcotest.(check bool) (name ^ " quantiles ordered") true
+                  (st.V1.p50 <= st.V1.p90 && st.V1.p90 <= st.V1.p99
+                 && st.V1.p99 <= st.V1.p999))
+              [ "stage.compute"; "stage.render"; "stage.write" ];
             let lat = stage "latency.route" in
             Alcotest.(check int) "route latency count" 3 lat.V1.s_count;
             Alcotest.(check bool) "prometheus dump mentions the counters" true
@@ -1286,20 +1374,30 @@ let test_admin_port () =
         | None -> Alcotest.fail "admin_port configured but not bound"
       in
       Alcotest.(check bool) "admin port is its own listener" true (admin <> port);
-      (* Load an instance over the main port first. *)
+      (* Load an instance over the main port first, and route one pair
+         three times: one cache miss, two hits. *)
       let fd = connect port in
       Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-          match rpc fd (V1.envelope (sample_req "net" 13)) with
+          (match rpc fd (V1.envelope (sample_req "net" 13)) with
           | V1.Sampled _ -> ()
           | r -> check_code "sample" E.Internal r);
+          for _ = 1 to 3 do
+            ignore (routed_text "route" (rpc fd (V1.envelope (route_req "net" (0, 1)))))
+          done);
       (* HTTP: GET /stats returns the stats-server reply as JSON. *)
       let fd = connect admin in
       send_all fd "GET /stats HTTP/1.0\r\n\r\n";
       let body = recv_all fd in
       Unix.close fd;
       Alcotest.(check bool) "/stats is 200" true (substr body "HTTP/1.0 200 OK");
-      Alcotest.(check bool) "/stats carries the op" true (substr body "stats-server");
-      Alcotest.(check bool) "/stats carries counters" true (substr body "server.accepted");
+      let stats_line =
+        match String.index_opt body '{' with
+        | Some i -> String.trim (String.sub body i (String.length body - i))
+        | None -> Alcotest.failf "/stats has no JSON body: %s" body
+      in
+      let s = get_stats (ok ~what:stats_line (V1.reply_of_line stats_line)).V1.response in
+      Alcotest.(check int) "/stats counters" 4 (counter_of s "server.accepted");
+      Alcotest.(check int) "/stats sees the cache hits" 2 (counter_of s "server.cache.hits");
       (* HTTP: GET /metrics returns the Prometheus text dump. *)
       let fd = connect admin in
       send_all fd "GET /metrics HTTP/1.0\r\n\r\n";
@@ -1310,8 +1408,10 @@ let test_admin_port () =
         (substr dump "smallworld_server_accepted");
       (* Server counters and gauges are live in both obs modes and need
          no stats-server call before the scrape. *)
-      Alcotest.(check (option (float 0.0))) "/metrics accepted" (Some 1.0)
+      Alcotest.(check (option (float 0.0))) "/metrics accepted" (Some 4.0)
         (prom_value dump "server.accepted");
+      Alcotest.(check (option (float 0.0))) "/metrics cache hits" (Some 2.0)
+        (prom_value dump "server.cache.hits");
       Alcotest.(check (option (float 0.0))) "/metrics registry size" (Some 1.0)
         (prom_value dump "server.registry.size");
       if Obs.Metrics.enabled then
@@ -1334,10 +1434,10 @@ let test_admin_port () =
           | r -> check_code "admin health" E.Internal r);
           check_code "compute refused on admin" E.Bad_request
             (rpc fd (V1.envelope (route_req "net" (0, 1)))));
-      (* Admin traffic must not move the serving counters: only the one
-         sample request above was accepted. *)
+      (* Admin traffic must not move the serving counters: only the
+         sample and the three routes above were accepted. *)
       let ex = Server.Daemon.exec t in
-      Alcotest.(check int) "admin requests uncounted" 1 (Server.Exec.accepted ex))
+      Alcotest.(check int) "admin requests uncounted" 4 (Server.Exec.accepted ex))
 
 (* The admin plane shares the event loop: a silent admin connection is
    one idle table entry, so a scrape behind it answers at once rather
@@ -1515,15 +1615,36 @@ let test_daemon_access_log () =
           lines
       in
       Alcotest.(check (list string)) "ops in order" [ "sample"; "route"; "invalid" ] ops;
-      List.iter
-        (fun line ->
-          match Obs.Export.json_of_string line with
-          | Ok j ->
-              Alcotest.(check bool) "schema pinned" true
-                (Obs.Export.member "schema" j
-                = Some (Obs.Export.Str "smallworld.access.v1"))
-          | Error _ -> ())
-        lines)
+      (* JSON prints a whole float without a point, so it reads back as
+         an int. *)
+      let num j key =
+        match Obs.Export.member key j with
+        | Some (Obs.Export.Int i) -> float_of_int i
+        | Some (Obs.Export.Float f) -> f
+        | _ -> Alcotest.failf "access line lacks the number %s" key
+      in
+      ignore
+        (List.fold_left
+           (fun prev_req line ->
+             match Obs.Export.json_of_string line with
+             | Error e -> Alcotest.failf "bad access line %s (%s)" line e
+             | Ok j ->
+                 Alcotest.(check bool) "schema pinned" true
+                   (Obs.Export.member "schema" j
+                   = Some (Obs.Export.Str "smallworld.access.v1"));
+                 Alcotest.(check bool) "outcome present" true
+                   (Obs.Export.member "outcome" j <> None);
+                 ignore (num j "t");
+                 let req = num j "req" in
+                 Alcotest.(check bool) "request ids increase" true (req > prev_req);
+                 let parts =
+                   List.fold_left (fun acc k -> acc +. num j k) 0.0
+                     [ "queue_ms"; "compute_ms"; "render_ms"; "write_ms" ]
+                 in
+                 Alcotest.(check (float 0.01)) "stage timings sum to total_ms" parts
+                   (num j "total_ms");
+                 req)
+           0.0 lines))
 
 (* Peers that vanish mid-request.  A half-sent binary frame followed by
    a close leaves nothing in flight.  A route request whose client
@@ -1615,12 +1736,24 @@ let test_manifest_on_request () =
     (fun () ->
       (* Huge obs_interval: only request_manifest (the SIGHUP path) can
          produce the file before drain. *)
-      with_daemon ~obs_out:path ~obs_interval:1e9 (fun t port ->
+      with_daemon ~obs_out:path ~obs_interval:1e9 ~max_batch:4 (fun t port ->
           let fd = connect port in
           Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-              match rpc fd (V1.envelope V1.Health) with
-              | V1.Health_reply _ -> ()
-              | r -> check_code "health" E.Internal r);
+              (match rpc fd (V1.envelope (sample_req "net" 16)) with
+              | V1.Sampled _ -> ()
+              | r -> check_code "sample" E.Internal r);
+              check_code "deadline_ms=0" E.Deadline
+                (rpc fd (V1.envelope ~deadline_ms:0 (route_req "net" (0, 1))));
+              check_code "oversized batch" E.Overloaded
+                (rpc fd
+                   (V1.envelope
+                      (V1.Route_batch
+                         {
+                           instance = "net";
+                           pairs = V1.Pairs [ (0, 1); (2, 3); (4, 5); (6, 7); (8, 9) ];
+                           protocol = Greedy_routing.Protocol.Greedy;
+                           max_steps = None;
+                         }))));
           Server.Daemon.request_manifest t;
           let deadline = Unix.gettimeofday () +. 5.0 in
           let rec wait () =
@@ -1634,8 +1767,12 @@ let test_manifest_on_request () =
           in
           wait ();
           let manifest = In_channel.with_open_text path In_channel.input_all in
-          Alcotest.(check bool) "manifest carries server counters" true
-            (substr manifest "\"server.accepted\"");
+          (* The daemon's own counters are top-level keys, so they are
+             there under SMALLWORLD_OBS=0 too. *)
+          List.iter
+            (fun counter ->
+              Alcotest.(check bool) ("manifest carries " ^ counter) true (substr manifest counter))
+            [ "\"server.accepted\":3"; "\"server.rejected\":1"; "\"server.deadline_missed\":1" ];
           (* The manifest carries the state gauges of the same snapshot. *)
           Alcotest.(check bool) "manifest carries server gauges" true
             (substr manifest "\"server.registry.size\"")))
@@ -1710,6 +1847,16 @@ let test_daemon_trace_roundtrip () =
           (server_record.Obs.Profile.tr_parent = Some 1);
         Alcotest.(check string) "server root stage" "server.request"
           server_record.Obs.Profile.tr_root.Obs.Span.name;
+        let stages = server_record.Obs.Profile.tr_root.Obs.Span.children in
+        let names spans = List.map (fun (c : Obs.Span.t) -> c.Obs.Span.name) spans in
+        List.iter
+          (fun stage ->
+            Alcotest.(check bool) ("server root holds " ^ stage) true
+              (List.mem stage (names stages)))
+          [ "stage.queue_wait"; "stage.compute"; "stage.render"; "stage.write" ];
+        let compute = List.find (fun (c : Obs.Span.t) -> c.Obs.Span.name = "stage.compute") stages in
+        Alcotest.(check bool) "stage.compute holds the server op span" true
+          (List.exists (String.starts_with ~prefix:"server.") (names compute.Obs.Span.children));
         let client_root =
           match !client_tree with
           | Some s -> s
@@ -1757,6 +1904,10 @@ let test_daemon_trace_roundtrip () =
             match Obs.Export.member "traceEvents" doc with
             | Some (Obs.Export.Arr events) ->
                 Alcotest.(check bool) "chrome events present" true (events <> []);
+                Alcotest.(check bool) "complete events only" true
+                  (List.for_all
+                     (fun e -> Obs.Export.member "ph" e = Some (Obs.Export.Str "X"))
+                     events);
                 let names =
                   List.filter_map
                     (fun e ->
@@ -1766,7 +1917,8 @@ let test_daemon_trace_roundtrip () =
                     events
                 in
                 Alcotest.(check bool) "client and server spans on one timeline" true
-                  (List.mem "client.request" names && List.mem "server.request" names)
+                  (List.mem "client.request" names && List.mem "server.request" names
+                 && List.mem "stage.compute" names)
             | _ -> Alcotest.fail "chrome trace has no traceEvents array"));
         (* Per-request GC deltas landed in the stage-labelled histograms. *)
         (match Obs.Metrics.find_value Obs.Metrics.default "server.gc.compute.minor_words" with
@@ -1869,6 +2021,8 @@ let suite =
       test_exec_mutate_invalidates_cache;
     Alcotest.test_case "mutate vs single-flight race" `Quick
       test_mutate_single_flight_race;
+    Alcotest.test_case "concurrent mutates of one name compose" `Quick
+      test_concurrent_mutates_compose;
     Alcotest.test_case "exec request tracing" `Quick test_exec_tracing_unit;
     Alcotest.test_case "stats-server over TCP" `Quick test_server_stats_over_tcp;
     Alcotest.test_case "stats-server under concurrent load" `Quick

@@ -112,10 +112,33 @@ let test_binary_rejection () =
         Bytes.to_string b
       in
       with_tmp ".bad" (fun bad ->
-          (* Truncated: drop the tail. *)
-          write_file bad (String.sub original 0 (String.length original - 8));
-          expect_error "truncated snapshot" (Girg.Store.load ~path:bad);
-          expect_error "truncated snapshot (mmap)" (Girg.Store.load_mmap ~path:bad);
+          (* Truncated: drop the tail, or cut at the end of each section
+             (header, weights, positions, offsets) and one byte short of
+             it. *)
+          let count = Array.length inst.Girg.Instance.weights in
+          let dim = inst.Girg.Instance.params.Girg.Params.dim in
+          let header_end = Girg.Store.binary_header_bytes in
+          let weights_end = header_end + (8 * count) in
+          let positions_end = weights_end + (8 * count * dim) in
+          let offsets_end = positions_end + (8 * (count + 1)) in
+          Alcotest.(check int) "the targets section ends the file"
+            (String.length original)
+            (offsets_end + (16 * Sparse_graph.Graph.m inst.Girg.Instance.graph));
+          List.iter
+            (fun (what, len) ->
+              write_file bad (String.sub original 0 len);
+              expect_error ("truncated " ^ what) (Girg.Store.load ~path:bad);
+              expect_error ("truncated " ^ what ^ " (mmap)") (Girg.Store.load_mmap ~path:bad))
+            (("before the tail", String.length original - 8)
+            :: List.concat_map
+                 (fun (what, cut) ->
+                   [ ("at the end of the " ^ what, cut); ("short of the " ^ what ^ " end", cut - 1) ])
+                 [
+                   ("header", header_end);
+                   ("weights", weights_end);
+                   ("positions", positions_end);
+                   ("offsets", offsets_end);
+                 ]);
           (* Bad magic. *)
           write_file bad (patched (fun b -> Bytes.set b 0 'Z'));
           expect_error "bad magic" (Girg.Store.load ~path:bad);
