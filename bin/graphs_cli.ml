@@ -234,7 +234,7 @@ let run_mutate (exec : Api.V1.exec_opts) ~path ~ops ~seed =
   | Error m -> fail (Api.Error.make Api.Error.Bad_request "%s" m)
   | Ok () -> ());
   let mutated = Girg.Mutate.apply ~seed inst ops in
-  (* The store formats carry a plain CSR, so fold the overlay before
+  (* The store formats carry a plain CSR, so compact the row table before
      writing; traversal is identical by the compact contract. *)
   let folded =
     {

@@ -106,11 +106,14 @@ let preload ex spec =
   | Some i ->
       let name = String.sub spec 0 i in
       let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-      (match Server.Exec.handle ex (Api.V1.Load { name; path }) with
-      | Api.V1.Failed e -> Error e
-      | _ ->
-          Printf.printf "loaded %s from %s\n%!" name path;
-          Ok ())
+      (* Straight into the registry, not through [Exec.handle]: a preload
+         is no request, so it moves no [server.*] counter. *)
+      let inserted =
+        match Girg.Store.load ~path with
+        | Error e -> Error (Api.Error.make Api.Error.Io "cannot load %s: %s" path e)
+        | Ok inst -> Server.Registry.insert (Server.Exec.registry ex) ~name inst
+      in
+      Result.map (fun _ -> Printf.printf "loaded %s from %s\n%!" name path) inserted
 
 let run host port workers queue_cap registry_cap max_batch admin_port access_log
     access_sample obs_interval events_out trace_out json_only cache_cap loads

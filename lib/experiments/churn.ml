@@ -157,7 +157,7 @@ let record_json cfg row =
   let open Obs.Export in
   Obj
     [
-      ("record", Str "smallworld.churn.v1");
+      ("schema", Str "smallworld.churn.v1");
       ("scenario", Str (scenario_to_string cfg.scenario));
       ("protocol", Str (Greedy_routing.Protocol.name cfg.protocol));
       ("epoch", Int row.epoch);

@@ -2,7 +2,7 @@
 
    The geometry (weights, positions, kernel parameters) of an instance is
    immutable; mutation changes only the edge set, through the
-   copy-on-write delta of [Sparse_graph.Graph].  [Resample] re-draws a
+   copy-on-write row table of [Sparse_graph.Graph].  [Resample] re-draws a
    vertex's edges from the instance's own connection kernel with a
    substream keyed on (seed, epoch, vertex, neighbour), so the same
    mutation script against the same (seed, params) yields bit-identical

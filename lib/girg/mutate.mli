@@ -2,7 +2,7 @@
 
     An instance's geometry (weights, positions, kernel parameters) is
     immutable; mutation changes only the edge set, via the copy-on-write
-    delta of {!Sparse_graph.Graph}.  One {!apply} call is one epoch:
+    row table of {!Sparse_graph.Graph}.  One {!apply} call is one epoch:
     every op in the batch lands in the same graph version.
 
     Determinism contract: {!Resample} draws each candidate partner from
@@ -13,7 +13,7 @@
     and of whether the base CSR is heap-built or mmap'd. *)
 
 type op =
-  | Leave of int  (** the vertex departs (overlay edges are lost for good) *)
+  | Leave of int  (** the vertex departs (added edges are lost for good) *)
   | Rejoin of int  (** the vertex returns with its surviving base edges *)
   | Drop of int * int  (** remove one edge from the merged view *)
   | Resample of int
@@ -39,8 +39,8 @@ val apply : seed:int -> Instance.t -> op list -> Instance.t
     script still advances the version) and returns
     the new instance; [inst] is unchanged and stays routable (readers
     pin the version they hold).  Cost: one {!Sparse_graph.Graph.apply}
-    per op plus one for the leading empty apply, each O(n + m) (see its
-    cost note), so a k-op script is (k + 1) full passes: about 47.8 ms
-    per op at n = 2^16.
+    per op plus one for the leading empty apply, each O(n/256 + touched
+    rows) (see its cost note); a [Resample] adds an O(n) pass drawing
+    one coin per live partner.
     @raise Invalid_argument on out-of-range vertices — call {!validate}
     first on untrusted input. *)

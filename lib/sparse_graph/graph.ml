@@ -7,15 +7,26 @@ type int_bigarray = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
    millions of words), and a snapshot's CSR section can be [Unix.map_file]'d
    and traversed zero-copy through the exact same representation.
 
-   Live graphs layer a copy-on-write delta over the immutable base CSR:
-   departed vertices and dropped base edges are masked at read time, and
-   added edges live in small per-vertex sorted overlays.  The base arrays
-   are never written — an mmap'd snapshot stays safely shared — and a
-   graph with [delta = None] pays only one branch per accessor. *)
+   Live graphs keep a row table beside the immutable base CSR: a vertex
+   whose adjacency [apply] changed holds its whole sorted row, a departed
+   vertex reads as empty, and every other vertex reads its base slice
+   (invariant: a [Base] vertex's merged adjacency is exactly its base
+   slice).  Readers therefore pick a slice or an array once per vertex and
+   never mask or merge per neighbour.  The table is split into
+   copy-on-write pages of [page] vertices, so [apply] copies the page
+   pointers plus the pages it writes.  The base arrays are never written —
+   an mmap'd snapshot stays safely shared. *)
+type row =
+  | Base  (* the base CSR slice *)
+  | Gone  (* departed: no neighbours *)
+  | Row of int array  (* the whole merged row, sorted ascending *)
+
+module Keys = Set.Make (Int)
+
 type delta = {
-  removed : Bytes.t;  (* length n; '\001' = vertex departed *)
-  dropped : (int, unit) Hashtbl.t;  (* masked base edges, keyed min*n+max *)
-  added : int array array;  (* per-vertex sorted overlay neighbours *)
+  pages : row array array;  (* vertex v at pages.(v / page).(v mod page) *)
+  dropped : Keys.t;  (* base edges removed by [Remove_edge], keyed min*n+max *)
+  departed : int;  (* number of [Gone] vertices *)
 }
 
 type t = {
@@ -26,6 +37,7 @@ type t = {
   targets : int_bigarray; (* length 2m, neighbours of v at offsets.{v}..offsets.{v+1}-1 *)
   delta : delta option;
 }
+
 
 let ba_create len = A1.create Bigarray.int Bigarray.c_layout len
 
@@ -187,108 +199,58 @@ let n t = t.n
 let m t = t.m
 let epoch t = t.epoch
 
-let live t v =
-  match t.delta with None -> true | Some d -> Bytes.get d.removed v = '\000'
+let page_bits = 8
+let page = 1 lsl page_bits
 
-let live_count t =
-  match t.delta with
-  | None -> t.n
-  | Some d ->
-      let c = ref 0 in
-      for v = 0 to t.n - 1 do
-        if Bytes.get d.removed v = '\000' then incr c
-      done;
-      !c
+let slot pages v = pages.(v lsr page_bits).(v land (page - 1))
+let row t v = match t.delta with None -> Base | Some d -> slot d.pages v
 
-let edge_key n u v = if u < v then (u * n) + v else (v * n) + u
-
-(* Is base target [w] visible from [v] under delta [d]?  [v] itself is
-   assumed live. *)
-let base_visible t d v w =
-  Bytes.get d.removed w = '\000' && not (Hashtbl.mem d.dropped (edge_key t.n v w))
+let live t v = match row t v with Gone -> false | Base | Row _ -> true
+let live_count t = match t.delta with None -> t.n | Some d -> t.n - d.departed
 
 let degree t v =
-  match t.delta with
-  | None -> t.offsets.{v + 1} - t.offsets.{v}
-  | Some d ->
-      if Bytes.get d.removed v <> '\000' then 0
-      else begin
-        let c = ref (Array.length d.added.(v)) in
-        for k = t.offsets.{v} to t.offsets.{v + 1} - 1 do
-          if base_visible t d v t.targets.{k} then incr c
-        done;
-        !c
-      end
+  match row t v with
+  | Base -> t.offsets.{v + 1} - t.offsets.{v}
+  | Gone -> 0
+  | Row r -> Array.length r
 
 let iter_neighbors t v f =
-  match t.delta with
-  | None ->
+  match row t v with
+  | Base ->
       for k = t.offsets.{v} to t.offsets.{v + 1} - 1 do
         f t.targets.{k}
       done
-  | Some d ->
-      if Bytes.get d.removed v = '\000' then begin
-        (* Merge the filtered base slice with the sorted overlay; both
-           streams ascend and never share an element (an [Add_edge] over
-           a live base edge is a no-op), so the merged view ascends —
-           the tie-break order every routing protocol relies on. *)
-        let add = d.added.(v) in
-        let na = Array.length add in
-        let ai = ref 0 in
-        for k = t.offsets.{v} to t.offsets.{v + 1} - 1 do
-          let w = t.targets.{k} in
-          if base_visible t d v w then begin
-            while !ai < na && add.(!ai) < w do
-              f add.(!ai);
-              incr ai
-            done;
-            f w
-          end
-        done;
-        while !ai < na do
-          f add.(!ai);
-          incr ai
-        done
-      end
+  | Gone -> ()
+  | Row r -> Array.iter f r
 
 let fold_neighbors t v ~init ~f =
-  match t.delta with
-  | None ->
+  match row t v with
+  | Base ->
       let acc = ref init in
       for k = t.offsets.{v} to t.offsets.{v + 1} - 1 do
         acc := f !acc t.targets.{k}
       done;
       !acc
-  | Some _ ->
-      let acc = ref init in
-      iter_neighbors t v (fun w -> acc := f !acc w);
-      !acc
-
-exception Found_neighbor
+  | Gone -> init
+  | Row r -> Array.fold_left f init r
 
 let exists_neighbor t v pred =
-  match t.delta with
-  | None ->
+  match row t v with
+  | Base ->
       let rec scan k = k < t.offsets.{v + 1} && (pred t.targets.{k} || scan (k + 1)) in
       scan t.offsets.{v}
-  | Some _ -> (
-      try
-        iter_neighbors t v (fun w -> if pred w then raise_notrace Found_neighbor);
-        false
-      with Found_neighbor -> true)
+  | Gone -> false
+  | Row r -> Array.exists pred r
+
+let base_neighbors t v =
+  let lo = t.offsets.{v} in
+  Array.init (t.offsets.{v + 1} - lo) (fun i -> t.targets.{lo + i})
 
 let neighbors t v =
-  match t.delta with
-  | None ->
-      let lo = t.offsets.{v} in
-      Array.init (t.offsets.{v + 1} - lo) (fun i -> t.targets.{lo + i})
-  | Some _ ->
-      let out = Array.make (degree t v) 0 in
-      let i = ref 0 in
-      iter_neighbors t v (fun w ->
-          out.(!i) <- w;
-          incr i);
-      out
+  match row t v with
+  | Base -> base_neighbors t v
+  | Gone -> [||]
+  | Row r -> Array.copy r
 
 let base_has_edge t u v =
   let lo = ref t.offsets.{u} and hi = ref t.offsets.{u + 1} in
@@ -300,38 +262,37 @@ let base_has_edge t u v =
   done;
   !found
 
-let mem_sorted arr x =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  let found = ref false in
-  while !lo < !hi && not !found do
+(* First index in [arr.(0 .. len-1)] (sorted ascending) holding [>= x]. *)
+let lower_bound arr len x =
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let w = arr.(mid) in
-    if w = x then found := true else if w < x then lo := mid + 1 else hi := mid
+    if arr.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  !found
+  !lo
 
 let has_edge t u v =
-  match t.delta with
-  | None -> base_has_edge t u v
-  | Some d ->
-      Bytes.get d.removed u = '\000'
-      && Bytes.get d.removed v = '\000'
-      && ((base_has_edge t u v && not (Hashtbl.mem d.dropped (edge_key t.n u v)))
-         || mem_sorted d.added.(u) v)
+  match row t u with
+  | Base -> base_has_edge t u v
+  | Gone -> false
+  | Row r ->
+      let i = lower_bound r (Array.length r) v in
+      i < Array.length r && r.(i) = v
 
 let iter_edges t f =
-  match t.delta with
-  | None ->
-      for u = 0 to t.n - 1 do
+  for u = 0 to t.n - 1 do
+    match row t u with
+    | Base ->
         for k = t.offsets.{u} to t.offsets.{u + 1} - 1 do
           let v = t.targets.{k} in
           if u < v then f u v
         done
-      done
-  | Some _ ->
-      for u = 0 to t.n - 1 do
-        iter_neighbors t u (fun v -> if u < v then f u v)
-      done
+    | Gone -> ()
+    | Row r ->
+        for i = 0 to Array.length r - 1 do
+          if u < r.(i) then f u r.(i)
+        done
+  done
 
 let max_degree t =
   let best = ref 0 in
@@ -352,114 +313,146 @@ type mutation =
   | Remove_edge of int * int
   | Add_edge of int * int
 
-let fresh_delta n =
-  { removed = Bytes.make n '\000'; dropped = Hashtbl.create 16; added = Array.make (max 1 n) [||] }
+let edge_key n u v = if u < v then (u * n) + v else (v * n) + u
 
-(* The overlay arrays are never mutated in place — slots are replaced
-   wholesale — so a shallow copy of the outer array suffices and readers
-   of the previous epoch keep a consistent view. *)
-let copy_delta n = function
-  | None -> fresh_delta n
-  | Some d ->
-      {
-        removed = Bytes.copy d.removed;
-        dropped = Hashtbl.copy d.dropped;
-        added = Array.copy d.added;
-      }
+(* Never written: [apply] copies a page before its first write. *)
+let base_page = Array.make page Base
 
-let insert_sorted arr x =
-  let n = Array.length arr in
-  let out = Array.make (n + 1) x in
-  let i = ref 0 in
-  while !i < n && arr.(!i) < x do
-    out.(!i) <- arr.(!i);
-    incr i
-  done;
-  Array.blit arr !i out (!i + 1) (n - !i);
-  out
+(* A row being edited by one [apply]: copied in once, edited in place,
+   frozen into a [Row] at the end, so a batch touching one vertex many
+   times (a hub's re-sample) costs its degree once, not per edit. *)
+type buf = { mutable len : int; mutable data : int array }
 
-let remove_sorted arr x =
-  if not (mem_sorted arr x) then arr
+let buf_insert b x =
+  let i = lower_bound b.data b.len x in
+  if i < b.len && b.data.(i) = x then false
   else begin
-    let n = Array.length arr in
-    let out = Array.make (n - 1) 0 in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if arr.(i) <> x then begin
-        out.(!j) <- arr.(i);
-        incr j
-      end
-    done;
-    out
+    if b.len = Array.length b.data then begin
+      let data = Array.make (max 8 (2 * b.len)) 0 in
+      Array.blit b.data 0 data 0 b.len;
+      b.data <- data
+    end;
+    Array.blit b.data i b.data (i + 1) (b.len - i);
+    b.data.(i) <- x;
+    b.len <- b.len + 1;
+    true
   end
 
-let recount t =
-  let total = ref 0 in
-  for v = 0 to t.n - 1 do
-    total := !total + degree t v
-  done;
-  !total / 2
+let buf_remove b x =
+  let i = lower_bound b.data b.len x in
+  i < b.len && b.data.(i) = x
+  && begin
+       Array.blit b.data (i + 1) b.data i (b.len - i - 1);
+       b.len <- b.len - 1;
+       true
+     end
 
 let apply ?epoch t mutations =
   let n = t.n in
   let epoch = match epoch with Some e -> e | None -> t.epoch + 1 in
-  let d = copy_delta n t.delta in
+  let src, dropped, departed =
+    match t.delta with
+    | None -> (Array.make ((n + page - 1) / page) base_page, Keys.empty, 0)
+    | Some d -> (d.pages, d.dropped, d.departed)
+  in
+  let pages = Array.copy src in
+  let dropped = ref dropped and departed = ref departed and m = ref t.m in
+  let set v r =
+    let p = v lsr page_bits in
+    if pages.(p) == src.(p) then pages.(p) <- Array.copy src.(p);
+    pages.(p).(v land (page - 1)) <- r
+  in
+  let is_gone v = match slot pages v with Gone -> true | Base | Row _ -> false in
+  let work = Hashtbl.create 16 in
+  let touch v =
+    match Hashtbl.find_opt work v with
+    | Some b -> b
+    | None ->
+        let data =
+          match slot pages v with
+          | Base -> base_neighbors t v
+          | Gone -> [||]
+          | Row r -> Array.copy r
+        in
+        let b = { len = Array.length data; data } in
+        Hashtbl.add work v b;
+        b
+  in
   let check what v =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Graph.apply: %s vertex %d out of range [0, %d)" what v n)
   in
-  let is_removed v = Bytes.get d.removed v <> '\000' in
   List.iter
     (fun mu ->
       match mu with
       | Remove_vertex v ->
           check "remove" v;
-          if not (is_removed v) then begin
-            (* Overlay edges of a departing vertex are stripped for good:
-               a later [Restore_vertex] brings only its base edges back. *)
-            Array.iter (fun u -> d.added.(u) <- remove_sorted d.added.(u) v) d.added.(v);
-            d.added.(v) <- [||];
-            Bytes.set d.removed v '\001'
+          if not (is_gone v) then begin
+            (* Added edges of a departing vertex are lost for good: a later
+               [Restore_vertex] rebuilds its row from the base slice. *)
+            let b = touch v in
+            for i = 0 to b.len - 1 do
+              ignore (buf_remove (touch b.data.(i)) v)
+            done;
+            m := !m - b.len;
+            Hashtbl.remove work v;
+            set v Gone;
+            incr departed
           end
       | Restore_vertex v ->
           check "restore" v;
-          Bytes.set d.removed v '\000'
+          if is_gone v then begin
+            let b = touch v in
+            for k = t.offsets.{v} to t.offsets.{v + 1} - 1 do
+              let w = t.targets.{k} in
+              if (not (is_gone w)) && not (Keys.mem (edge_key n v w) !dropped) then begin
+                ignore (buf_insert b w);
+                ignore (buf_insert (touch w) v);
+                incr m
+              end
+            done;
+            set v (Row [||]);
+            decr departed
+          end
       | Remove_edge (u, v) ->
           check "remove-edge" u;
           check "remove-edge" v;
-          if u <> v && (not (is_removed u)) && not (is_removed v) then begin
-            if mem_sorted d.added.(u) v then begin
-              d.added.(u) <- remove_sorted d.added.(u) v;
-              d.added.(v) <- remove_sorted d.added.(v) u
-            end
-            else if base_has_edge t u v then
-              Hashtbl.replace d.dropped (edge_key n u v) ()
+          if u <> v && (not (is_gone u)) && (not (is_gone v)) && buf_remove (touch u) v
+          then begin
+            ignore (buf_remove (touch v) u);
+            decr m;
+            if base_has_edge t u v then dropped := Keys.add (edge_key n u v) !dropped
           end
       | Add_edge (u, v) ->
           check "add-edge" u;
           check "add-edge" v;
           if u = v then invalid_arg "Graph.apply: cannot add a self-loop";
-          if is_removed u || is_removed v then
+          if is_gone u || is_gone v then
             invalid_arg "Graph.apply: cannot add an edge to a departed vertex";
-          let key = edge_key n u v in
-          if Hashtbl.mem d.dropped key then Hashtbl.remove d.dropped key
-          else if (not (base_has_edge t u v)) && not (mem_sorted d.added.(u) v) then begin
-            d.added.(u) <- insert_sorted d.added.(u) v;
-            d.added.(v) <- insert_sorted d.added.(v) u
+          if buf_insert (touch u) v then begin
+            ignore (buf_insert (touch v) u);
+            incr m;
+            dropped := Keys.remove (edge_key n u v) !dropped
           end)
     mutations;
-  let t' = { t with epoch; delta = Some d } in
-  { t' with m = recount t' }
+  Hashtbl.iter (fun v b -> set v (Row (Array.sub b.data 0 b.len))) work;
+  { t with m = !m; epoch; delta = Some { pages; dropped = !dropped; departed = !departed } }
 
+(* Rows are already sorted and duplicate-free, so the CSR is written in
+   one pass with no sort. *)
 let compact t =
   match t.delta with
   | None -> t
   | Some _ ->
-      let flat = Array.make (max 1 (2 * t.m)) 0 in
+      let offsets = ba_create (t.n + 1) and targets = ba_create (2 * t.m) in
       let k = ref 0 in
-      iter_edges t (fun u v ->
-          flat.(!k) <- u;
-          flat.(!k + 1) <- v;
-          k := !k + 2);
-      let g = of_flat_halves ~n:t.n ~len:!k flat in
-      { g with epoch = t.epoch }
+      let write w =
+        targets.{!k} <- w;
+        incr k
+      in
+      for v = 0 to t.n - 1 do
+        offsets.{v} <- !k;
+        iter_neighbors t v write
+      done;
+      offsets.{t.n} <- !k;
+      { t with offsets; targets; delta = None }

@@ -1,5 +1,5 @@
 (** Undirected graphs in compressed sparse row (CSR) form, with an
-    epoch-based copy-on-write overlay for live mutation.
+    epoch-based copy-on-write row table for live mutation.
 
     Vertices are integers [0 .. n-1].  The representation stores each
     undirected edge in both directions, sorted per vertex, which gives cache-
@@ -10,13 +10,14 @@
     OCaml heap, and the same representation serves both freshly built
     graphs and zero-copy views into an [Unix.map_file]'d snapshot.
 
-    {!apply} layers a per-epoch delta (departed vertices, dropped base
-    edges, added overlay edges) over the immutable base arrays; every
-    traversal accessor serves the merged view, still in ascending
-    neighbour order, so routing protocols run unchanged on a mutated
-    graph.  The base arrays are never written — mutating a graph whose
-    CSR section is an mmap'd snapshot is safe — and {!compact} folds the
-    delta back into a fresh heap CSR. *)
+    {!apply} keeps a row table beside the immutable base arrays: a
+    vertex whose adjacency changed holds its whole sorted row, a
+    departed vertex reads as empty, and every other vertex reads its
+    base slice.  Every traversal accessor therefore reads one slice or
+    one array, in ascending neighbour order, so routing protocols run
+    unchanged on a mutated graph.  The base arrays are never written —
+    mutating a graph whose CSR section is an mmap'd snapshot is safe —
+    and {!compact} writes the rows back into a fresh heap CSR. *)
 
 type t
 
@@ -108,25 +109,25 @@ val avg_degree : t -> float
 (** {1 Live mutation}
 
     The write path of the live-graph subsystem.  Mutations never touch
-    the base CSR arrays; they build a fresh delta (copy-on-write, so
-    holders of the previous value keep a consistent snapshot) and stamp
-    the result with a new epoch. *)
+    the base CSR arrays; they copy the row-table pages they write
+    (copy-on-write, so holders of the previous value keep a consistent
+    snapshot) and stamp the result with a new epoch. *)
 
 type mutation =
   | Remove_vertex of int
-      (** The vertex departs: its base edges are masked and its overlay
-          edges are stripped {e permanently} (a later {!Restore_vertex}
-          brings only the base edges back).  No-op if already departed. *)
+      (** The vertex departs with all its edges; its added edges are
+          lost {e permanently} (a later {!Restore_vertex} brings only
+          the base edges back).  No-op if already departed. *)
   | Restore_vertex of int
       (** The vertex rejoins with its base edges, minus any that were
           explicitly dropped.  No-op if live. *)
   | Remove_edge of int * int
       (** Drops the edge from the merged view, whether it is a base or
-          an overlay edge.  No-op if absent or if either endpoint has
+          an added edge.  No-op if absent or if either endpoint has
           departed. *)
   | Add_edge of int * int
-      (** Adds the edge: un-drops a masked base edge, otherwise inserts
-          an overlay edge.  No-op if already present.
+      (** Adds the edge: un-drops a dropped base edge, otherwise inserts
+          an added edge.  No-op if already present.
           @raise Invalid_argument on a self-loop or a departed endpoint
           (checked by {!apply}). *)
 
@@ -144,16 +145,17 @@ val apply : ?epoch:int -> t -> mutation list -> t
     new view; [t] itself is unchanged and remains valid (readers pin
     the epoch they hold).  [epoch] defaults to [epoch t + 1]; callers
     batching several {!apply} calls into one logical version pass the
-    same epoch explicitly.  Cost: not O(changes).  The base arrays are
-    shared, but every call copies the delta (the n-byte departure map,
-    the n-slot overlay array and the dropped-edge table) and then
-    recounts the merged edge total in O(n + m): about 47.8 ms per call
-    at n = 2^16 on perfbench's serve-churn workload.
+    same epoch explicitly.  Cost: O(n/256 + touched rows).  Each call
+    copies the table of 256-vertex pages, then each page it writes,
+    and rebuilds each touched row once per call however often the
+    batch edits it; [m] is kept incrementally.  A [Remove_vertex] or
+    [Restore_vertex] touches the vertex's neighbours' rows too.
     @raise Invalid_argument on an out-of-range vertex, a self-loop
     [Add_edge], or an [Add_edge] touching a departed endpoint. *)
 
 val compact : t -> t
-(** Folds the delta into a fresh heap CSR with no delta, preserving the
-    vertex numbering (departed vertices become permanently isolated live
-    vertices) and the epoch.  Identity when the graph has no delta.
-    Traversal results are identical before and after. *)
+(** Writes the merged view into a fresh heap CSR with no delta, in one
+    pass with no sort, preserving the vertex numbering (departed
+    vertices become permanently isolated live vertices) and the epoch.
+    Identity when the graph has no delta.  Traversal results are
+    identical before and after. *)

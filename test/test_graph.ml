@@ -236,40 +236,134 @@ let test_explicit_epoch_batching () =
   let g2 = Graph.apply ~epoch:7 g1 [ Graph.Add_edge (1, 2) ] in
   Alcotest.(check int) "same logical version" 7 (Graph.epoch g2)
 
-(* compact must be traversal-equivalent to the overlay view on random
-   mutation scripts. *)
+(* The documented semantics of [Graph.apply], interpreted directly: base
+   edges, departed vertices, dropped base edges and added (non-base)
+   edges.  The merged view is every base edge that is not dropped and
+   has both endpoints live, plus the added edges. *)
+module Model = struct
+  module S = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = { base : S.t; gone : int list; dropped : S.t; added : S.t }
+
+  let key u v = (min u v, max u v)
+  let live s v = not (List.mem v s.gone)
+
+  (* [None] when [Graph.apply] must raise on this mutation. *)
+  let step s = function
+    | Graph.Remove_vertex v ->
+        if not (live s v) then Some s
+        else
+          Some
+            {
+              s with
+              gone = v :: s.gone;
+              added = S.filter (fun (a, b) -> a <> v && b <> v) s.added;
+            }
+    | Graph.Restore_vertex v -> Some { s with gone = List.filter (( <> ) v) s.gone }
+    | Graph.Remove_edge (u, v) ->
+        let e = key u v in
+        if u = v || (not (live s u)) || not (live s v) then Some s
+        else if S.mem e s.added then Some { s with added = S.remove e s.added }
+        else if S.mem e s.base then Some { s with dropped = S.add e s.dropped }
+        else Some s
+    | Graph.Add_edge (u, v) ->
+        let e = key u v in
+        if u = v || (not (live s u)) || not (live s v) then None
+        else if S.mem e s.dropped then Some { s with dropped = S.remove e s.dropped }
+        else if S.mem e s.base then Some s
+        else Some { s with added = S.add e s.added }
+
+  let edges s =
+    S.union s.added
+      (S.filter
+         (fun ((u, v) as e) -> live s u && live s v && not (S.mem e s.dropped))
+         s.base)
+
+  let neighbors s v =
+    S.fold
+      (fun (a, b) acc -> if a = v then b :: acc else if b = v then a :: acc else acc)
+      (edges s) []
+    |> List.sort compare |> Array.of_list
+end
+
+(* Batches of 1-8 mutations per [apply], drawn from few vertices so one
+   batch often edits a vertex several times, checked after every batch
+   against [Model]; [compact] must then be traversal-equivalent. *)
 let compact_equivalence_prop =
   QCheck2.Test.make ~name:"compact equals overlay view" ~count:100
     QCheck2.Gen.(
       pair
         (pair (int_range 2 12) (list_size (int_bound 20) (pair (int_bound 11) (int_bound 11))))
-        (list_size (int_bound 25) (pair (int_bound 3) (pair (int_bound 11) (int_bound 11)))))
-    (fun ((n, raw_edges), raw_muts) ->
+        (list_size (int_bound 8)
+           (list_size (int_range 1 8) (pair (int_bound 3) (pair (int_bound 11) (int_bound 11))))))
+    (fun ((n, raw_edges), raw_batches) ->
       let edges =
         List.filter (fun (u, v) -> u < n && v < n && u <> v) raw_edges |> Array.of_list
       in
       let g0 = Graph.of_edges ~n edges in
-      (* Interpret the random script, skipping ops apply would reject. *)
-      let g =
+      let base = Model.S.of_list (List.map (fun (u, v) -> Model.key u v) (Array.to_list edges)) in
+      let s0 = { Model.base; gone = []; dropped = Model.S.empty; added = Model.S.empty } in
+      let agrees g s =
+        Graph.m g = Model.S.cardinal (Model.edges s)
+        && Graph.live_count g = n - List.length s.Model.gone
+        && List.for_all
+             (fun v ->
+               Graph.live g v = Model.live s v && Graph.neighbors g v = Model.neighbors s v)
+             (List.init n Fun.id)
+      in
+      (* Keep the mutations the model accepts, in order, so a batch never
+         holds one that [apply] would reject. *)
+      let batch s raw =
         List.fold_left
-          (fun g (kind, (u, v)) ->
-            if u >= n || v >= n then g
+          (fun (s, acc) (kind, (u, v)) ->
+            if u >= n || v >= n then (s, acc)
             else
-              match kind with
-              | 0 -> Graph.apply g [ Graph.Remove_vertex u ]
-              | 1 -> Graph.apply g [ Graph.Restore_vertex u ]
-              | 2 when u <> v -> Graph.apply g [ Graph.Remove_edge (u, v) ]
-              | 3 when u <> v && Graph.live g u && Graph.live g v ->
-                  Graph.apply g [ Graph.Add_edge (u, v) ]
-              | _ -> g)
-          g0 raw_muts
+              let mu =
+                match kind with
+                | 0 -> Graph.Remove_vertex u
+                | 1 -> Graph.Restore_vertex u
+                | 2 -> Graph.Remove_edge (u, v)
+                | _ -> Graph.Add_edge (u, v)
+              in
+              match Model.step s mu with Some s -> (s, mu :: acc) | None -> (s, acc))
+          (s, []) raw
+      in
+      let ok, g, _ =
+        List.fold_left
+          (fun (ok, g, s) raw ->
+            let s, rev = batch s raw in
+            let g = Graph.apply g (List.rev rev) in
+            (ok && agrees g s, g, s))
+          (true, g0, s0) raw_batches
       in
       let c = Graph.compact g in
-      Graph.epoch c = Graph.epoch g
+      ok
+      && Graph.epoch c = Graph.epoch g
       && Graph.m c = Graph.m g
       && List.for_all
            (fun v -> Graph.neighbors c v = Graph.neighbors g v)
            (List.init n Fun.id))
+
+(* An [apply] costs the pages and rows it writes, not the graph: one
+   [Remove_edge] on 2^16 vertices, on a fresh graph and on one that
+   already carries a delta, allocates under 64 KB. *)
+let test_apply_cost () =
+  let n = 1 lsl 16 in
+  let g0 = Graph.of_edges ~n (Array.init n (fun v -> (v, (v + 1) mod n))) in
+  let cost g mu =
+    let a0 = Gc.allocated_bytes () in
+    let g' = Sys.opaque_identity (Graph.apply g [ mu ]) in
+    (g', Gc.allocated_bytes () -. a0)
+  in
+  let g1, fresh = cost g0 (Graph.Remove_edge (0, 1)) in
+  let g2, delta = cost g1 (Graph.Remove_edge (n / 2, (n / 2) + 1)) in
+  Alcotest.(check int) "both edges gone" (n - 2) (Graph.m g2);
+  if fresh >= 65536. then Alcotest.failf "apply on a fresh graph allocated %.0f bytes" fresh;
+  if delta >= 65536. then Alcotest.failf "apply over a delta allocated %.0f bytes" delta
 
 let suite =
   [
@@ -296,4 +390,5 @@ let suite =
     Alcotest.test_case "overlay validation" `Quick test_overlay_validation;
     Alcotest.test_case "explicit epoch batching" `Quick test_explicit_epoch_batching;
     QCheck_alcotest.to_alcotest compact_equivalence_prop;
+    Alcotest.test_case "apply cost is the rows it writes" `Quick test_apply_cost;
   ]

@@ -164,8 +164,8 @@ let test_churn_scenarios_behave () =
   Alcotest.(check int) "baseline + one row per epoch" (cfg.epochs + 1) (List.length rows);
   List.iter
     (fun row ->
-      Alcotest.(check bool) "smallworld.churn.v1 record" true
-        (Obs.Export.member "record" (Experiments.Churn.record_json cfg row)
+      Alcotest.(check bool) "smallworld.churn.v1 schema" true
+        (Obs.Export.member "schema" (Experiments.Churn.record_json cfg row)
         = Some (Obs.Export.Str "smallworld.churn.v1")))
     rows;
   let base, rest = baseline_then_epochs rows in
