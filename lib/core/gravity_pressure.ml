@@ -15,18 +15,19 @@ let route ~graph ~objective ~source ?max_steps () =
   let max_steps = Option.value max_steps ~default:((50 * n) + 1000) in
   let phi = Objective.scorer objective in
   let target = objective.target in
-  let visits = Array.make n 0 in
-  let seen = Array.make n false in
+  Sparse_graph.Scratch.with_domain ~n @@ fun scratch ->
+  (* Visit counts, valid at stamped (visited) vertices. *)
+  let visits = Sparse_graph.Scratch.ints scratch 0 in
+  let visits_of u = if Sparse_graph.Scratch.mem scratch u then visits.(u) else 0 in
   let visited = ref 0 in
   let steps = ref 0 in
-  let walk = ref [] in
   let record v =
-    walk := v :: !walk;
-    visits.(v) <- visits.(v) + 1;
-    if not seen.(v) then begin
-      seen.(v) <- true;
+    Sparse_graph.Scratch.push scratch v;
+    if Sparse_graph.Scratch.add scratch v then begin
+      visits.(v) <- 0;
       incr visited
-    end
+    end;
+    visits.(v) <- visits.(v) + 1
   in
   record source;
   if recording then
@@ -36,22 +37,13 @@ let route ~graph ~objective ~source ?max_steps () =
     if recording then
       Obs.Events.emit (Obs.Events.Route_hop { route = rid; hop = !steps; vertex = u; objective = phi u })
   in
-  let best_neighbor v =
-    let best = ref (-1) and best_score = ref neg_infinity in
-    Sparse_graph.Graph.iter_neighbors graph v (fun u ->
-        let s = phi u in
-        if s > !best_score then begin
-          best := u;
-          best_score := s
-        end);
-    (!best, !best_score)
-  in
+
   (* Least-visited neighbour; ties broken towards better objective, then
      smaller id (the iteration order). *)
   let pressure_neighbor v =
     let best = ref (-1) and best_visits = ref max_int and best_score = ref neg_infinity in
     Sparse_graph.Graph.iter_neighbors graph v (fun u ->
-        let c = visits.(u) and s = phi u in
+        let c = visits_of u and s = phi u in
         if c < !best_visits || (c = !best_visits && s > !best_score) then begin
           best := u;
           best_visits := c;
@@ -75,8 +67,8 @@ let route ~graph ~objective ~source ?max_steps () =
       | Pressure _ | Gravity -> ());
       match !mode with
       | Gravity ->
-          let u, s = best_neighbor v in
-          if u >= 0 && s > phi v then begin
+          let u = Objective.argmax objective graph v ~skip:(-1) ~lo:neg_infinity in
+          if u >= 0 && phi u > phi v then begin
             incr steps;
             record u;
             hop_event u;
@@ -110,4 +102,4 @@ let route ~graph ~objective ~source ?max_steps () =
   | Some status ->
       Obs.Metrics.add c_steps !steps;
       Obs.Metrics.add c_visited !visited;
-      { Outcome.status; steps = !steps; visited = !visited; walk = List.rev !walk }
+      { Outcome.status; steps = !steps; visited = !visited; walk = Sparse_graph.Scratch.trail scratch }

@@ -17,4 +17,10 @@ val route :
   unit ->
   Outcome.t
 (** [max_steps] defaults to [50 * n + 1000]; unlike the (P1)–(P3) protocols,
-    hitting the cap ([Cutoff]) is a real possibility. *)
+    hitting the cap ([Cutoff]) is a real possibility.
+
+    Cost: visit counters live on this domain's {!Sparse_graph.Scratch}:
+    16 bytes per vertex (stamp and one int column), grown to the largest
+    [n] routed and kept, so a call allocates O(steps) and nothing of size
+    n.
+    @raise Failure if called while this domain's scratch is held. *)

@@ -22,21 +22,17 @@ let route ~graph ~objective ~source ?max_steps () =
     else if steps >= max_steps then
       { Outcome.status = Cutoff; steps; visited = steps + 1; walk = List.rev walk }
     else begin
-      (* Best neighbour; ties resolved towards the smaller id (neighbours
-         iterate in ascending order) for determinism. *)
-      let best = ref (-1) and best_score = ref neg_infinity in
-      Sparse_graph.Graph.iter_neighbors graph v (fun u ->
-          Obs.Metrics.incr c_evals;
-          let s = phi u in
-          if s > !best_score then begin
-            best := u;
-            best_score := s
-          end);
-      if !best >= 0 && !best_score > score_v then begin
+      (* Best neighbour; ties resolved towards the smaller id for
+         determinism.  The evaluation counter moves once per step, by the
+         degree scanned: worker domains share it. *)
+      let best = Objective.argmax objective graph v ~skip:(-1) ~lo:neg_infinity in
+      Obs.Metrics.add c_evals (Sparse_graph.Graph.degree graph v);
+      let best_score = if best >= 0 then phi best else neg_infinity in
+      if best_score > score_v then begin
         if recording then
           Obs.Events.emit
-            (Obs.Events.Route_hop { route = rid; hop = steps + 1; vertex = !best; objective = !best_score });
-        go !best !best_score (steps + 1) (!best :: walk)
+            (Obs.Events.Route_hop { route = rid; hop = steps + 1; vertex = best; objective = best_score });
+        go best best_score (steps + 1) (best :: walk)
       end
       else begin
         if recording then Obs.Events.emit (Obs.Events.Dead_end { route = rid; vertex = v });

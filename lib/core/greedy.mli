@@ -13,4 +13,11 @@ val route :
   unit ->
   Outcome.t
 (** [max_steps] defaults to [n + 1], which pure greedy can never exceed
-    (the objective strictly increases along the path). *)
+    (the objective strictly increases along the path).
+
+    Cost: each step is one {!Objective.argmax} over the current vertex's
+    neighbours — allocation-free for an objective with a kernel on a base
+    CSR slice — and one [route.greedy.objective_evals] update by the
+    scanned degree.  Allocation is O(steps): the walk, and one event per
+    hop while event recording is armed; it does not grow with degree or
+    with n. *)

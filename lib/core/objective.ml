@@ -1,14 +1,32 @@
+module Graph = Sparse_graph.Graph
+
+type kernel = {
+  weights : float array;
+  coords : float array;  (* the packed store: [dim] coordinates per vertex *)
+  point : float array;  (* the target's position *)
+  denom : float;
+  norm : Geometry.Torus.norm;
+  dim : int;
+}
+
 type t = {
   name : string;
   target : int;
   score : int -> float;
   dense : (int -> float) option;
+  kernel : kernel option;
 }
 
 let scorer t = match t.dense with Some f -> f | None -> t.score
 
 let of_fun ~name ~target f =
-  { name; target; score = (fun v -> if v = target then infinity else f v); dense = None }
+  {
+    name;
+    target;
+    score = (fun v -> if v = target then infinity else f v);
+    dense = None;
+    kernel = None;
+  }
 
 let girg_phi (inst : Girg.Instance.t) ~target =
   let p = inst.params in
@@ -60,12 +78,130 @@ let girg_phi (inst : Girg.Instance.t) ~target =
             weights.(v) /. (denom *. (dist ** dimf))
           end
   in
+  let kernel =
+    if dim > 3 then None
+    else
+      Some
+        {
+          weights;
+          coords = Geometry.Torus.Packed.data inst.packed;
+          point = xt;
+          denom;
+          norm = p.Girg.Params.norm;
+          dim;
+        }
+  in
   {
     name = "phi";
     target;
     score = (fun v -> if v = target then infinity else score v);
     dense = Some dense;
+    kernel;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Arg-max over a neighbourhood.
+
+   [scan] is the one loop body.  Each call in [search] passes [shape] as
+   a constant, so once [scan] is inlined its [match] folds away and
+   every (norm, dim) gets a straight-line loop over the CSR slice: phi
+   inlined, no closure, no boxed float.  Each branch repeats the dense
+   scorer's operations in its order (see [Geometry.Torus.Packed]), so the
+   scores are bit-identical to the closure path's.  Ascending neighbour
+   order plus a strict [>] breaks ties towards the smaller id.  (L1 and
+   Linf agree in one dimension, so one loop serves both.) *)
+
+type shape = D1 | Linf2 | Linf3 | L2_1 | L2_2 | L2_3 | L1_2 | L1_3
+
+let cd = Geometry.Torus.coord_dist
+
+let[@inline] scan shape k (targets : Graph.int_bigarray) first last ~target ~skip ~lo
+    ~bounded ~below =
+  let c = k.coords and w = k.weights and denom = k.denom and q = k.point in
+  let q0 = q.(0) in
+  let q1 = if k.dim > 1 then q.(1) else 0.0 in
+  let q2 = if k.dim > 2 then q.(2) else 0.0 in
+  let best = ref (-1) and best_s = ref neg_infinity in
+  for i = first to last - 1 do
+    let u = targets.{i} in
+    if u <> skip then begin
+      let s =
+        if u = target then infinity
+        else
+          match shape with
+          | D1 -> w.(u) /. (denom *. cd c.(u) q0)
+          | L2_1 ->
+              let d = cd c.(u) q0 in
+              w.(u) /. (denom *. sqrt (d *. d))
+          | Linf2 ->
+              let d0 = cd c.(2 * u) q0 and d1 = cd c.((2 * u) + 1) q1 in
+              let dist = if d1 > d0 then d1 else d0 in
+              w.(u) /. (denom *. (dist *. dist))
+          | L2_2 ->
+              let d0 = cd c.(2 * u) q0 and d1 = cd c.((2 * u) + 1) q1 in
+              let dist = sqrt ((d0 *. d0) +. (d1 *. d1)) in
+              w.(u) /. (denom *. (dist *. dist))
+          | L1_2 ->
+              let dist = cd c.(2 * u) q0 +. cd c.((2 * u) + 1) q1 in
+              w.(u) /. (denom *. (dist *. dist))
+          | Linf3 ->
+              let b = 3 * u in
+              let d0 = cd c.(b) q0 and d1 = cd c.(b + 1) q1 and d2 = cd c.(b + 2) q2 in
+              let m = if d1 > d0 then d1 else d0 in
+              let dist = if d2 > m then d2 else m in
+              w.(u) /. (denom *. (dist *. dist *. dist))
+          | L2_3 ->
+              let b = 3 * u in
+              let d0 = cd c.(b) q0 and d1 = cd c.(b + 1) q1 and d2 = cd c.(b + 2) q2 in
+              let dist = sqrt ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2)) in
+              w.(u) /. (denom *. (dist *. dist *. dist))
+          | L1_3 ->
+              let b = 3 * u in
+              let dist = cd c.(b) q0 +. cd c.(b + 1) q1 +. cd c.(b + 2) q2 in
+              w.(u) /. (denom *. (dist *. dist *. dist))
+      in
+      if s >= lo && ((not bounded) || s < below) && s > !best_s then begin
+        best := u;
+        best_s := s
+      end
+    end
+  done;
+  !best
+
+let search t graph v ~skip ~lo ~bounded ~below =
+  match (t.kernel, Graph.row graph v) with
+  | Some k, Graph.Base ->
+      let offsets = Graph.base_offsets graph and tg = Graph.base_targets graph in
+      let a = offsets.{v} and b = offsets.{v + 1} and target = t.target in
+      begin
+        match (k.norm, k.dim) with
+        | (Geometry.Torus.Linf | L1), 1 -> scan D1 k tg a b ~target ~skip ~lo ~bounded ~below
+        | L2, 1 -> scan L2_1 k tg a b ~target ~skip ~lo ~bounded ~below
+        | Linf, 2 -> scan Linf2 k tg a b ~target ~skip ~lo ~bounded ~below
+        | L2, 2 -> scan L2_2 k tg a b ~target ~skip ~lo ~bounded ~below
+        | L1, 2 -> scan L1_2 k tg a b ~target ~skip ~lo ~bounded ~below
+        | Linf, 3 -> scan Linf3 k tg a b ~target ~skip ~lo ~bounded ~below
+        | L2, 3 -> scan L2_3 k tg a b ~target ~skip ~lo ~bounded ~below
+        | L1, 3 -> scan L1_3 k tg a b ~target ~skip ~lo ~bounded ~below
+        | _ -> invalid_arg "Objective.argmax: kernel dimension above 3"
+      end
+  | _ ->
+      (* The reference: the scorer closure over the merged adjacency.  It
+         serves every objective without a kernel and every changed row. *)
+      let phi = scorer t in
+      let best = ref (-1) and best_s = ref neg_infinity in
+      Graph.iter_neighbors graph v (fun u ->
+          if u <> skip then begin
+            let s = phi u in
+            if s >= lo && ((not bounded) || s < below) && s > !best_s then begin
+              best := u;
+              best_s := s
+            end
+          end);
+      !best
+
+let argmax t graph v ~skip ~lo = search t graph v ~skip ~lo ~bounded:false ~below:infinity
+let argmax_below t graph v ~skip ~lo ~below = search t graph v ~skip ~lo ~bounded:true ~below
 
 let geometric ?packed ~positions ~target () =
   let xt = positions.(target) in
@@ -126,6 +262,7 @@ let hyperbolic (h : Hyperbolic.Hrg.t) ~target =
     target;
     score = (fun v -> if v = target then infinity else score v);
     dense = Some dense;
+    kernel = None;
   }
 
 (* Deterministic per-vertex uniform in [0, 1): one SplitMix64-style mix of
@@ -217,6 +354,7 @@ let noisy_factor ~seed ~spread base =
     target;
     score = (fun v -> if v = target then infinity else score v);
     dense = Some dense;
+    kernel = None;
   }
 
 let noisy_polynomial ~seed ~delta ~weights base =
@@ -239,36 +377,30 @@ let noisy_polynomial ~seed ~delta ~weights base =
     target;
     score = (fun v -> if v = target then infinity else score v);
     dense = Some dense;
+    kernel = None;
   }
 
 module Memo = struct
-  type scratch = {
-    mutable scores : float array;
-    mutable stamps : int array;
-    mutable gen : int;
-  }
+  module Scratch = Sparse_graph.Scratch
 
-  let create () = { scores = [||]; stamps = [||]; gen = 0 }
+  type scratch = Scratch.t
+
+  let create = Scratch.create
 
   let wrap scratch ~n t =
     if n < 0 then invalid_arg "Objective.Memo.wrap: negative n";
-    if Array.length scratch.stamps < n then begin
-      scratch.scores <- Array.make n 0.0;
-      scratch.stamps <- Array.make n 0
-    end;
-    (* A fresh generation invalidates every cached entry without clearing:
-       a slot is valid only while its stamp equals the current generation. *)
-    scratch.gen <- scratch.gen + 1;
-    let gen = scratch.gen in
-    let scores = scratch.scores in
-    let stamps = scratch.stamps in
+    (* A fresh epoch invalidates every cached entry without clearing. *)
+    Scratch.start scratch ~n;
+    let epoch = Scratch.epoch scratch in
+    let scores = Scratch.floats scratch 0 in
     let base = scorer t in
     let memo v =
-      if stamps.(v) = gen then scores.(v)
+      if Scratch.epoch scratch <> epoch then base v (* outlived by a later [wrap] *)
+      else if Scratch.mem scratch v then scores.(v)
       else begin
         let s = base v in
         scores.(v) <- s;
-        stamps.(v) <- gen;
+        ignore (Scratch.add scratch v);
         s
       end
     in

@@ -5,6 +5,12 @@
     target ([score target = infinity] by construction), which realises the
     paper's requirement that the target globally maximises phi. *)
 
+type kernel
+(** What a specialised arg-max loop needs to evaluate [phi] inline: the
+    weights, the packed coordinate store, the target's position, the
+    normalising constant [w_min * n], the norm and the dimension.  Only
+    {!girg_phi} builds one (for dimensions 1 to 3). *)
+
 type t = {
   name : string;
   target : int;
@@ -14,6 +20,11 @@ type t = {
           bit, but evaluated against flat (structure-of-arrays) stores with
           (norm, dim)-specialised kernels.  Hot loops call {!scorer} to pick
           it up; [None] falls back to [score]. *)
+  kernel : kernel option;
+      (** Lets {!argmax} scan a base CSR slice with [phi] inlined.  [Some]
+          only from {!girg_phi} (and kept by {!Memo.wrap}); every other
+          constructor sets [None].  Set it to [None] to force the closure
+          path, which computes the same floats. *)
 }
 
 val scorer : t -> int -> float
@@ -24,7 +35,24 @@ val girg_phi : Girg.Instance.t -> target:int -> t
 (** The paper's objective [phi(v) = w_v / (w_min n ||x_v - x_t||^d)]
     (Section 2.2) — maximising [phi] maximises the connection probability
     to the target.  [score target = infinity].  Carries a dense fast path
-    over the instance's packed coordinate store. *)
+    over the instance's packed coordinate store, and a {!kernel} when
+    [dim <= 3]. *)
+
+val argmax : t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> int
+(** [argmax t g v ~skip ~lo] is the neighbour [u <> skip] of [v] of
+    maximum score among those scoring at least [lo], or [-1] if there is
+    none.  Ties go to the smaller id; a [nan] score never wins.
+
+    Cost: O(deg v), allocation-free when [t] has a {!kernel} and [v]
+    reads its base CSR slice — one specialised loop per (norm, dim) with
+    [phi] inlined.  Otherwise (no kernel, or a row changed by
+    {!Sparse_graph.Graph.apply}) it runs the reference loop over
+    {!scorer}, which allocates a boxed float per neighbour.  Both paths
+    return the same vertex. *)
+
+val argmax_below :
+  t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> below:float -> int
+(** {!argmax} restricted further to scores below [below] (exclusive). *)
 
 val geometric :
   ?packed:Geometry.Torus.Packed.t ->
@@ -70,19 +98,23 @@ val noisy_polynomial :
 
 (** Per-route score memo: a vertex's score is computed at most once per
     route even when several protocol phases revisit it.  Values are cached
-    by vertex id in flat arrays; a generation stamp invalidates the whole
-    cache in O(1) when the scratch is reused for the next route.  Sound
-    because every objective above is a pure function of the vertex id. *)
+    by vertex id on a {!Sparse_graph.Scratch}; its epoch stamp invalidates
+    the whole cache in O(1) when the scratch is reused for the next route.
+    Sound because every objective above is a pure function of the vertex
+    id. *)
 module Memo : sig
-  type scratch
-  (** Reusable backing store (score + stamp arrays).  Not thread-safe: use
-      one scratch per domain. *)
+  type scratch = Sparse_graph.Scratch.t
+  (** Reusable backing store: 16 bytes per vertex (stamp and score),
+      grown to the largest [n] wrapped and kept.  Not thread-safe: use one
+      scratch per domain. *)
 
   val create : unit -> scratch
 
   val wrap : scratch -> n:int -> t -> t
   (** [wrap scratch ~n t]: [t] with its evaluation path memoised over
-      vertex ids [0 .. n-1].  Starts a fresh generation (previous cached
-      values become invisible).  Observability counters are unaffected —
-      routers count logical evaluations before calling the scorer. *)
+      vertex ids [0 .. n-1], and its {!kernel} kept.  Starts a fresh epoch
+      (previous cached values become invisible; an objective from an
+      earlier [wrap] stays correct but stops caching).  Observability
+      counters are unaffected — routers count logical evaluations before
+      calling the scorer. *)
 end

@@ -23,6 +23,17 @@ val route :
   ?max_steps:int ->
   unit ->
   Outcome.t
-(** [max_steps] defaults to [50 * n + 1000]; exceeding it yields [Cutoff]
+(** [max_steps] defaults to [200 * n + 10_000]; exceeding it yields [Cutoff]
     (the theory guarantees polynomially many steps, and in practice runs end
-    far below the default). *)
+    far below the default).
+
+    Cost: each step scans one neighbourhood through {!Objective.argmax} /
+    {!Objective.argmax_below} (allocation-free with a kernel) and
+    evaluates the objective once at the vertex it moves to.  The per-vertex
+    state lives on this domain's {!Sparse_graph.Scratch}: 40 bytes per
+    vertex (stamp, two int and two float columns), grown to the largest
+    [n] routed and kept, so a call allocates O(visited + steps) — the
+    walk list and, while event recording is armed, one event per hop —
+    and nothing of size n.
+    @raise Failure if called while this domain's scratch is held (e.g.
+    from inside an objective evaluated by another route or BFS). *)

@@ -4,39 +4,39 @@ let route ~graph ~objective ~source ?max_steps () =
   let max_steps = Option.value max_steps ~default:((50 * n) + 1000) in
   let phi = Objective.scorer objective in
   let target = objective.target in
-  let seen = Array.make n false in
-  let tree_parent = Array.make n (-1) in
-  let tree_depth = Array.make n 0 in
-  (* Per visited vertex: neighbours sorted by descending objective and a
-     cursor to the best not-yet-consumed one. *)
-  let sorted_nbrs : int array array = Array.make n [||] in
-  let cursor = Array.make n 0 in
+  Sparse_graph.Scratch.with_domain ~n @@ fun scratch ->
+  (* A vertex is visited iff stamped; its slots are set in [visit]. *)
+  let seen v = Sparse_graph.Scratch.mem scratch v in
+  let tree_parent = Sparse_graph.Scratch.ints scratch 0 in
+  (* Per visited vertex: its neighbours sorted by descending objective,
+     stored in [rows.(cursor.(v)) .. rows.(stop.(v) - 1)], where [cursor]
+     advances past the best not-yet-consumed one. *)
+  let cursor = Sparse_graph.Scratch.ints scratch 1 in
+  let stop = Sparse_graph.Scratch.ints scratch 2 in
+  let rows = ref (Array.make 64 0) and rows_len = ref 0 in
   let frontier : int Binary_heap.t = Binary_heap.create () in
   let visited = ref 0 in
   let steps = ref 0 in
-  let walk = ref [] in
-  let record v = walk := v :: !walk in
+  let record v = Sparse_graph.Scratch.push scratch v in
   (* Best unvisited neighbour of [v], advancing the cursor past visited
      ones.  Returns its objective or [neg_infinity]. *)
   let rec frontier_score v =
-    let nbrs = sorted_nbrs.(v) in
-    if cursor.(v) >= Array.length nbrs then neg_infinity
-    else if seen.(nbrs.(cursor.(v))) then begin
+    if cursor.(v) >= stop.(v) then neg_infinity
+    else if seen !rows.(cursor.(v)) then begin
       cursor.(v) <- cursor.(v) + 1;
       frontier_score v
     end
-    else phi nbrs.(cursor.(v))
+    else phi !rows.(cursor.(v))
   in
   let consume v =
-    let u = sorted_nbrs.(v).(cursor.(v)) in
+    let u = !rows.(cursor.(v)) in
     cursor.(v) <- cursor.(v) + 1;
     u
   in
   let visit v ~parent =
-    seen.(v) <- true;
+    ignore (Sparse_graph.Scratch.add scratch v);
     incr visited;
     tree_parent.(v) <- parent;
-    tree_depth.(v) <- (if parent < 0 then 0 else tree_depth.(parent) + 1);
     let nbrs = Sparse_graph.Graph.neighbors graph v in
     (* Descending objective; ascending id on ties for determinism. *)
     Array.sort
@@ -44,8 +44,16 @@ let route ~graph ~objective ~source ?max_steps () =
         let c = compare (phi b) (phi a) in
         if c <> 0 then c else compare a b)
       nbrs;
-    sorted_nbrs.(v) <- nbrs;
-    cursor.(v) <- 0;
+    let len = Array.length nbrs in
+    if !rows_len + len > Array.length !rows then begin
+      let grown = Array.make (max (2 * Array.length !rows) (!rows_len + len)) 0 in
+      Array.blit !rows 0 grown 0 !rows_len;
+      rows := grown
+    end;
+    Array.blit nbrs 0 !rows !rows_len len;
+    cursor.(v) <- !rows_len;
+    rows_len := !rows_len + len;
+    stop.(v) <- !rows_len;
     let s = frontier_score v in
     if s > neg_infinity then Binary_heap.push frontier s v
   in
@@ -81,14 +89,7 @@ let route ~graph ~objective ~source ?max_steps () =
   (* Best neighbour overall, visited or not — (P1) requires moving to it on
      a first visit whenever it improves. *)
   let best_neighbor v =
-    let best = ref (-1) and best_score = ref neg_infinity in
-    Sparse_graph.Graph.iter_neighbors graph v (fun u ->
-        let s = phi u in
-        if s > !best_score then begin
-          best := u;
-          best_score := s
-        end);
-    (!best, !best_score)
+    Objective.argmax objective graph v ~skip:(-1) ~lo:neg_infinity
   in
   let result = ref None in
   let cur = ref source in
@@ -99,8 +100,8 @@ let route ~graph ~objective ~source ?max_steps () =
     if v = target then result := Some Outcome.Delivered
     else if !steps >= max_steps then result := Some Outcome.Cutoff
     else begin
-      let b, b_score = best_neighbor v in
-      if b >= 0 && b_score > phi v then begin
+      let b = best_neighbor v in
+      if b >= 0 && phi b > phi v then begin
         (* Greedy move.  The objective strictly increases along greedy
            moves, so revisits cannot cycle; an already-visited best
            neighbour just means the walk continues from there. *)
@@ -108,7 +109,7 @@ let route ~graph ~objective ~source ?max_steps () =
            cursor skips it lazily. *)
         incr steps;
         record b;
-        if not seen.(b) then visit b ~parent:v;
+        if not (seen b) then visit b ~parent:v;
         cur := b
       end
       else begin
@@ -143,4 +144,5 @@ let route ~graph ~objective ~source ?max_steps () =
   done;
   match !result with
   | None -> assert false
-  | Some status -> { Outcome.status; steps = !steps; visited = !visited; walk = List.rev !walk }
+  | Some status ->
+      { Outcome.status; steps = !steps; visited = !visited; walk = Sparse_graph.Scratch.trail scratch }

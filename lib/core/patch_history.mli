@@ -18,4 +18,12 @@ val route :
   ?max_steps:int ->
   unit ->
   Outcome.t
-(** [max_steps] defaults to [50 * n + 1000] tree hops. *)
+(** [max_steps] defaults to [50 * n + 1000] tree hops.
+
+    Cost: the per-vertex state (visited stamp, tree parent, cursor and end
+    of the vertex's sorted neighbour row) lives on this domain's
+    {!Sparse_graph.Scratch}: 32 bytes per vertex, grown to the largest [n]
+    routed and kept.  A call allocates O(visited degrees + steps): each
+    visited vertex's sorted row, the frontier heap and the walk, and
+    nothing of size n.
+    @raise Failure if called while this domain's scratch is held. *)

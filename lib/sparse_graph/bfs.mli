@@ -7,7 +7,14 @@ val distances : Graph.t -> source:int -> int array
 val distance : Graph.t -> source:int -> target:int -> int option
 (** Single-pair distance via bidirectional BFS; [None] if disconnected.
     Much faster than {!distances} on small-world graphs, where full BFS
-    explores nearly everything after a few levels. *)
+    explores nearly everything after a few levels.
+
+    Cost: O(visited) time and allocation per call.  Distances and the
+    two frontier queues live on this domain's {!Scratch}: 40 bytes per
+    vertex (stamp and four int columns), grown to the largest [n] seen
+    and kept.
+    @raise Failure if called while this domain's scratch is held (a nested
+    use, e.g. from inside a patching route's objective). *)
 
 val shortest_path : Graph.t -> source:int -> target:int -> int list option
 (** An explicit shortest path (vertex sequence including both endpoints). *)

@@ -195,6 +195,9 @@ let targets_ba t =
     invalid_arg "Graph.targets_ba: graph carries a live delta; compact it first";
   t.targets
 
+let base_offsets t = t.offsets
+let base_targets t = t.targets
+
 let n t = t.n
 let m t = t.m
 let epoch t = t.epoch

@@ -75,6 +75,28 @@ val targets_ba : t -> int_bigarray
     @raise Invalid_argument when the graph carries a delta — see
     {!offsets_ba}. *)
 
+(** {1 Direct adjacency access}
+
+    For kernels that scan a neighbourhood with no closure per neighbour:
+    {!row} says where a vertex's merged adjacency lives, and a [Base]
+    vertex's neighbours are
+    [(base_targets g).{k}] for [k] in
+    [(base_offsets g).{v} .. (base_offsets g).{v + 1} - 1]. *)
+
+type row =
+  | Base  (** the base CSR slice *)
+  | Gone  (** departed: no neighbours *)
+  | Row of int array  (** the whole merged row, sorted ascending; do not mutate *)
+
+val row : t -> int -> row
+
+val base_offsets : t -> int_bigarray
+(** The base CSR offsets, valid for [Base] rows whether or not the graph
+    carries a delta.  Read-only. *)
+
+val base_targets : t -> int_bigarray
+(** The base CSR targets; see {!base_offsets}. *)
+
 val n : t -> int
 (** Number of vertices (including departed ones, which read as isolated). *)
 

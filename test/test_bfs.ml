@@ -74,8 +74,43 @@ let test_bidirectional_on_random_larger () =
     Alcotest.(check (option int)) "pair distance" expected (Bfs.distance g ~source:s ~target:t)
   done
 
+(* --- the per-domain stamped scratch --------------------------------- *)
+
+let test_scratch_epochs () =
+  let s = Scratch.create () in
+  Scratch.start s ~n:4;
+  let e0 = Scratch.epoch s in
+  Alcotest.(check bool) "first add stamps" true (Scratch.add s 2);
+  Alcotest.(check bool) "second add is a no-op" false (Scratch.add s 2);
+  Alcotest.(check bool) "mem" true (Scratch.mem s 2);
+  List.iter (Scratch.push s) [ 5; 1; 5 ];
+  Alcotest.(check (list int)) "trail in order" [ 5; 1; 5 ] (Scratch.trail s);
+  Scratch.start s ~n:4;
+  Alcotest.(check bool) "a new epoch forgets" false (Scratch.mem s 2);
+  Alcotest.(check (list int)) "and empties the trail" [] (Scratch.trail s);
+  Scratch.start s ~n:10;
+  Alcotest.(check bool) "epochs only grow" true (Scratch.epoch s > e0 + 1);
+  Alcotest.(check bool) "grown columns" true (Array.length (Scratch.ints s 3) >= 10);
+  Alcotest.(check bool) "grown stamps" false (Scratch.mem s 9)
+
+let test_scratch_nested_use () =
+  let g = path_graph 8 in
+  Scratch.with_domain ~n:8 (fun s ->
+      ignore (Scratch.add s 3);
+      (Scratch.ints s 0).(3) <- 42;
+      (match Bfs.distance g ~source:0 ~target:7 with
+      | _ -> Alcotest.fail "nested use of the domain scratch was accepted"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "outer stamp kept" true (Scratch.mem s 3);
+      Alcotest.(check int) "outer slot kept" 42 (Scratch.ints s 0).(3));
+  (try Scratch.with_domain ~n:8 (fun _ -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check (option int)) "released after return and raise" (Some 7)
+    (Bfs.distance g ~source:0 ~target:7)
+
 let suite =
   [
+    Alcotest.test_case "scratch epochs and trail" `Quick test_scratch_epochs;
+    Alcotest.test_case "scratch nested use fails loudly" `Quick test_scratch_nested_use;
     Alcotest.test_case "distances on a path" `Quick test_distances_path;
     Alcotest.test_case "distances disconnected" `Quick test_distances_disconnected;
     Alcotest.test_case "single pair" `Quick test_single_pair;
