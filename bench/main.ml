@@ -111,12 +111,12 @@ let run_phase ~id f =
       Unix.close r;
       let oc = Unix.out_channel_of_descr w in
       let t0 = Unix.gettimeofday () in
-      let a0 = Gc.allocated_bytes () in
+      let a0 = Obs.Span.allocated_bytes () in
       (match f () with
       | counters ->
           Printf.fprintf oc "ok %.17g %.17g %.17g %s\n%!"
             (Unix.gettimeofday () -. t0)
-            (Gc.allocated_bytes () -. a0)
+            (Obs.Span.allocated_bytes () -. a0)
             (peak_rss_bytes ())
             (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
       | exception e -> Printf.fprintf oc "err %s\n%!" (Printexc.to_string e));

@@ -344,8 +344,7 @@ let save_embedding ~out ~graph embedding =
     {
       Girg.Instance.params = girg_params;
       weights = h.Hyperbolic.Hrg.weights;
-      positions = h.Hyperbolic.Hrg.positions;
-      packed = Geometry.Torus.Packed.of_points ~dim:1 h.Hyperbolic.Hrg.positions;
+      packed = h.Hyperbolic.Hrg.packed;
       graph;
     };
   n

@@ -30,7 +30,7 @@ let () =
     let s = giant.(i) and t = giant.(j) in
     if
       inst.weights.(s) <= 1.5 && inst.weights.(t) <= 1.5
-      && Geometry.Torus.dist_linf inst.positions.(s) inst.positions.(t) >= 0.2
+      && Geometry.Torus.Packed.dist_between_fn inst.packed Geometry.Torus.Linf s t >= 0.2
     then begin
       let objective = Greedy_routing.Objective.girg_phi inst ~target:t in
       let outcome = Greedy_routing.Greedy.route ~graph:inst.graph ~objective ~source:s () in

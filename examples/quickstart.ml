@@ -23,9 +23,9 @@ let () =
   let source = giant.(i) and target = giant.(j) in
   Printf.printf "routing from %d (w=%.2f, x=%s) to %d (w=%.2f, x=%s)\n" source
     inst.weights.(source)
-    (Geometry.Torus.to_string inst.positions.(source))
+    (Geometry.Torus.to_string (Geometry.Torus.Packed.get inst.packed source))
     target inst.weights.(target)
-    (Geometry.Torus.to_string inst.positions.(target));
+    (Geometry.Torus.to_string (Geometry.Torus.Packed.get inst.packed target));
 
   (* 3. Greedy routing with the paper's objective phi. *)
   let objective = Greedy_routing.Objective.girg_phi inst ~target in

@@ -119,22 +119,19 @@ let instantiate ~model ~seed =
       {
         Girg.Instance.params = girg_params;
         weights = h.weights;
-        positions = h.positions;
-        packed = Geometry.Torus.Packed.of_points ~dim:1 h.positions;
+        packed = h.packed;
         graph = h.graph;
       }
   | V1.Kleinberg p ->
       let lat = Kleinberg.Lattice.generate ~rng p in
       let side = p.side in
       let n = side * side in
-      let positions =
-        Array.init n (fun v ->
-            let a, b = Kleinberg.Lattice.coords p v in
-            [|
-              (float_of_int a +. 0.5) /. float_of_int side;
-              (float_of_int b +. 0.5) /. float_of_int side;
-            |])
-      in
+      let centres = Array.make (2 * n) 0.0 in
+      for v = 0 to n - 1 do
+        let a, b = Kleinberg.Lattice.coords p v in
+        centres.(2 * v) <- (float_of_int a +. 0.5) /. float_of_int side;
+        centres.((2 * v) + 1) <- (float_of_int b +. 0.5) /. float_of_int side
+      done;
       let girg_params =
         Girg.Params.make ~dim:2 ~beta:2.5 ~w_min:1.0 ~alpha:Girg.Params.Infinite
           ~poisson_count:false ~n ()
@@ -142,8 +139,7 @@ let instantiate ~model ~seed =
       {
         Girg.Instance.params = girg_params;
         weights = Array.make n 1.0;
-        positions;
-        packed = Geometry.Torus.Packed.of_points ~dim:2 positions;
+        packed = Geometry.Torus.Packed.of_flat ~dim:2 centres;
         graph = lat.graph;
       }
 

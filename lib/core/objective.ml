@@ -13,44 +13,24 @@ type t = {
   name : string;
   target : int;
   score : int -> float;
-  dense : (int -> float) option;
   kernel : kernel option;
 }
 
-let scorer t = match t.dense with Some f -> f | None -> t.score
+let scorer t = t.score
 
 let of_fun ~name ~target f =
-  {
-    name;
-    target;
-    score = (fun v -> if v = target then infinity else f v);
-    dense = None;
-    kernel = None;
-  }
+  { name; target; score = (fun v -> if v = target then infinity else f v); kernel = None }
 
 let girg_phi (inst : Girg.Instance.t) ~target =
   let p = inst.params in
   let denom = p.Girg.Params.w_min *. float_of_int p.Girg.Params.n in
   let dim = p.Girg.Params.dim in
-  let xt = inst.positions.(target) in
-  let dist_fn = Geometry.Torus.dist_fn p.Girg.Params.norm in
-  let score v =
-    let dist = dist_fn inst.positions.(v) xt in
-    let dist_d =
-      match dim with
-      | 1 -> dist
-      | 2 -> dist *. dist
-      | 3 -> dist *. dist *. dist
-      | _ -> dist ** float_of_int dim
-    in
-    inst.weights.(v) /. (denom *. dist_d)
-  in
-  (* Dense fast path: the (norm, dim)-specialised strided kernel reads the
-     instance's flat coordinate store; same floats, same operation order as
-     [score] above. *)
   let weights = inst.weights in
+  let xt = Geometry.Torus.Packed.get inst.packed target in
+  (* The (norm, dim)-specialised strided kernel reads the instance's flat
+     coordinate store; [dist ** d] is spelled out as products for d <= 3. *)
   let dist_to = Geometry.Torus.Packed.dist_to_fn inst.packed p.Girg.Params.norm in
-  let dense =
+  let score =
     match dim with
     | 1 ->
         fun v ->
@@ -91,13 +71,7 @@ let girg_phi (inst : Girg.Instance.t) ~target =
           dim;
         }
   in
-  {
-    name = "phi";
-    target;
-    score = (fun v -> if v = target then infinity else score v);
-    dense = Some dense;
-    kernel;
-  }
+  { name = "phi"; target; score; kernel }
 
 (* ------------------------------------------------------------------ *)
 (* Arg-max over a neighbourhood.
@@ -105,8 +79,8 @@ let girg_phi (inst : Girg.Instance.t) ~target =
    [scan] is the one loop body.  Each call in [search] passes [shape] as
    a constant, so once [scan] is inlined its [match] folds away and
    every (norm, dim) gets a straight-line loop over the CSR slice: phi
-   inlined, no closure, no boxed float.  Each branch repeats the dense
-   scorer's operations in its order (see [Geometry.Torus.Packed]), so the
+   inlined, no closure, no boxed float.  Each branch repeats [girg_phi]'s
+   score operations in its order (see [Geometry.Torus.Packed]), so the
    scores are bit-identical to the closure path's.  Ascending neighbour
    order plus a strict [>] breaks ties towards the smaller id.  (L1 and
    Linf agree in one dimension, so one loop serves both.) *)
@@ -186,9 +160,9 @@ let search t graph v ~skip ~lo ~bounded ~below =
         | _ -> invalid_arg "Objective.argmax: kernel dimension above 3"
       end
   | _ ->
-      (* The reference: the scorer closure over the merged adjacency.  It
+      (* The reference: the score closure over the merged adjacency.  It
          serves every objective without a kernel and every changed row. *)
-      let phi = scorer t in
+      let phi = t.score in
       let best = ref (-1) and best_s = ref neg_infinity in
       Graph.iter_neighbors graph v (fun u ->
           if u <> skip then begin
@@ -203,48 +177,25 @@ let search t graph v ~skip ~lo ~bounded ~below =
 let argmax t graph v ~skip ~lo = search t graph v ~skip ~lo ~bounded:false ~below:infinity
 let argmax_below t graph v ~skip ~lo ~below = search t graph v ~skip ~lo ~bounded:true ~below
 
-let geometric ?packed ~positions ~target () =
-  let xt = positions.(target) in
-  let dense =
-    match packed with
-    | None -> None
-    | Some pk ->
-        let dist_to = Geometry.Torus.Packed.dist_to_fn pk Geometry.Torus.Linf in
-        Some (fun v -> if v = target then infinity else 1.0 /. dist_to v xt)
-  in
-  let base =
-    of_fun ~name:"geometric" ~target (fun v ->
-        1.0 /. Geometry.Torus.dist_linf positions.(v) xt)
-  in
-  { base with dense }
+let geometric ~packed ~target =
+  let xt = Geometry.Torus.Packed.get packed target in
+  let dist_to = Geometry.Torus.Packed.dist_to_fn packed Geometry.Torus.Linf in
+  of_fun ~name:"geometric" ~target (fun v -> 1.0 /. dist_to v xt)
 
 let hyperbolic (h : Hyperbolic.Hrg.t) ~target =
   let p = h.params in
   let nf = float_of_int p.Hyperbolic.Hrg.n in
   let w_min = exp (-.p.Hyperbolic.Hrg.radius_c /. 2.0) in
-  let ct = h.coords.(target) in
-  let wt = h.weights.(target) in
-  let score v =
-    let a = h.coords.(v) in
-    let dangle =
-      let d = abs_float (a.Hyperbolic.Hrg.angle -. ct.Hyperbolic.Hrg.angle) in
-      if d > Float.pi then (2.0 *. Float.pi) -. d else d
-    in
-    let cosh_dh =
-      cosh (a.Hyperbolic.Hrg.r -. ct.Hyperbolic.Hrg.r)
-      +. ((1.0 -. cos dangle) *. sinh a.Hyperbolic.Hrg.r *. sinh ct.Hyperbolic.Hrg.r)
-    in
-    nf /. (wt *. w_min *. sqrt (Float.max 1.0 cosh_dh))
-  in
-  (* Dense fast path over the flat [r; angle] store.  [sinh ct.r] and
-     [wt *. w_min] are trailing/leading factors of left-associated products,
-     so hoisting them preserves every intermediate bit pattern. *)
+  (* phi_H = n / (w_t w_min sqrt (cosh d_H(v, t))) over the flat [r; angle]
+     store.  [sinh r_t] and [w_t *. w_min] are trailing/leading factors of
+     left-associated products, so hoisting them keeps every intermediate
+     bit pattern. *)
   let pc = h.packed_coords in
-  let ct_r = ct.Hyperbolic.Hrg.r in
-  let ct_angle = ct.Hyperbolic.Hrg.angle in
+  let ct_r = pc.(2 * target) in
+  let ct_angle = pc.((2 * target) + 1) in
   let sinh_ct = sinh ct_r in
-  let lead = wt *. w_min in
-  let dense v =
+  let lead = h.weights.(target) *. w_min in
+  let score v =
     if v = target then infinity
     else begin
       let ar = pc.(2 * v) in
@@ -257,13 +208,7 @@ let hyperbolic (h : Hyperbolic.Hrg.t) ~target =
       nf /. (lead *. sqrt (Float.max 1.0 cosh_dh))
     end
   in
-  {
-    name = "phi_H";
-    target;
-    score = (fun v -> if v = target then infinity else score v);
-    dense = Some dense;
-    kernel = None;
-  }
+  { name = "phi_H"; target; score; kernel = None }
 
 (* Deterministic per-vertex uniform in [0, 1): one SplitMix64-style mix of
    (seed, vertex).  Stable across calls, so an objective scores consistently
@@ -337,48 +282,34 @@ let noisy_factor ~seed ~spread base =
   if spread < 0.0 then invalid_arg "Objective.noisy_factor: negative spread";
   let name = Printf.sprintf "%s~factor(%g)" base.name spread in
   let target = base.target in
+  let bs = base.score in
   let score v =
-    let u = (2.0 *. hash_unit ~seed v) -. 1.0 in
-    base.score v *. exp (u *. spread)
-  in
-  let bs = scorer base in
-  let dense v =
     if v = target then infinity
     else begin
       let u = (2.0 *. hash_unit ~seed v) -. 1.0 in
       bs v *. exp (u *. spread)
     end
   in
-  {
-    name;
-    target;
-    score = (fun v -> if v = target then infinity else score v);
-    dense = Some dense;
-    kernel = None;
-  }
+  { name; target; score; kernel = None }
 
 let noisy_polynomial ~seed ~delta ~weights base =
   if delta < 0.0 then invalid_arg "Objective.noisy_polynomial: negative delta";
   let name = Printf.sprintf "%s~poly(%g)" base.name delta in
   let target = base.target in
-  let perturb s v =
-    if s <= 0.0 then s
+  let bs = base.score in
+  let score v =
+    if v = target then infinity
     else begin
-      let m = Float.min weights.(v) (1.0 /. s) in
-      let u = (2.0 *. hash_unit ~seed v) -. 1.0 in
-      s *. (Float.max 1.0 m ** (u *. delta))
+      let s = bs v in
+      if s <= 0.0 then s
+      else begin
+        let m = Float.min weights.(v) (1.0 /. s) in
+        let u = (2.0 *. hash_unit ~seed v) -. 1.0 in
+        s *. (Float.max 1.0 m ** (u *. delta))
+      end
     end
   in
-  let score v = perturb (base.score v) v in
-  let bs = scorer base in
-  let dense v = if v = target then infinity else perturb (bs v) v in
-  {
-    name;
-    target;
-    score = (fun v -> if v = target then infinity else score v);
-    dense = Some dense;
-    kernel = None;
-  }
+  { name; target; score; kernel = None }
 
 module Memo = struct
   module Scratch = Sparse_graph.Scratch
@@ -393,7 +324,7 @@ module Memo = struct
     Scratch.start scratch ~n;
     let epoch = Scratch.epoch scratch in
     let scores = Scratch.floats scratch 0 in
-    let base = scorer t in
+    let base = t.score in
     let memo v =
       if Scratch.epoch scratch <> epoch then base v (* outlived by a later [wrap] *)
       else if Scratch.mem scratch v then scores.(v)
@@ -404,5 +335,5 @@ module Memo = struct
         s
       end
     in
-    { t with dense = Some memo }
+    { t with score = memo }
 end

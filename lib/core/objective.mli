@@ -15,11 +15,9 @@ type t = {
   name : string;
   target : int;
   score : int -> float;
-  dense : (int -> float) option;
-      (** Optional preresolved fast path: same values as [score], bit for
-          bit, but evaluated against flat (structure-of-arrays) stores with
-          (norm, dim)-specialised kernels.  Hot loops call {!scorer} to pick
-          it up; [None] falls back to [score]. *)
+      (** The one scoring closure.  Each constructor resolves its fast path
+          here once — (norm, dim)-specialised distance kernels over flat
+          coordinate stores — so a hot loop calls it directly. *)
   kernel : kernel option;
       (** Lets {!argmax} scan a base CSR slice with [phi] inlined.  [Some]
           only from {!girg_phi} (and kept by {!Memo.wrap}); every other
@@ -28,15 +26,13 @@ type t = {
 }
 
 val scorer : t -> int -> float
-(** [scorer t] is [t.dense] when present, else [t.score].  Routing inner
-    loops hoist this once per route. *)
+(** [scorer t] is [t.score]. *)
 
 val girg_phi : Girg.Instance.t -> target:int -> t
 (** The paper's objective [phi(v) = w_v / (w_min n ||x_v - x_t||^d)]
     (Section 2.2) — maximising [phi] maximises the connection probability
-    to the target.  [score target = infinity].  Carries a dense fast path
-    over the instance's packed coordinate store, and a {!kernel} when
-    [dim <= 3]. *)
+    to the target.  [score target = infinity].  Scores read the instance's
+    packed coordinate store; carries a {!kernel} when [dim <= 3]. *)
 
 val argmax : t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> int
 (** [argmax t g v ~skip ~lo] is the neighbour [u <> skip] of [v] of
@@ -47,34 +43,29 @@ val argmax : t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> int
     reads its base CSR slice — one specialised loop per (norm, dim) with
     [phi] inlined.  Otherwise (no kernel, or a row changed by
     {!Sparse_graph.Graph.apply}) it runs the reference loop over
-    {!scorer}, which allocates a boxed float per neighbour.  Both paths
+    [t.score], which allocates a boxed float per neighbour.  Both paths
     return the same vertex. *)
 
 val argmax_below :
   t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> below:float -> int
 (** {!argmax} restricted further to scores below [below] (exclusive). *)
 
-val geometric :
-  ?packed:Geometry.Torus.Packed.t ->
-  positions:Geometry.Torus.point array ->
-  target:int ->
-  unit ->
-  t
+val geometric : packed:Geometry.Torus.Packed.t -> target:int -> t
 (** Degree-agnostic geometric routing ([9, 10] in the paper): score
-    [1 / ||x_v - x_t||].  Used by experiment E11 to show objective-based
-    greedy routing is more robust.  Pass [?packed] (the same coordinates in
-    flat form) to enable the dense fast path. *)
+    [1 / ||x_v - x_t||] (L∞) over the packed coordinate store.  Used by
+    experiment E11 to show objective-based greedy routing is more
+    robust. *)
 
 val hyperbolic : Hyperbolic.Hrg.t -> target:int -> t
 (** Geometric routing on hyperbolic random graphs: the objective [phi_H] of
     Section 11, [n / (w_t w_min sqrt(cosh d_H(v, t)))].  Maximising [phi_H]
-    minimises the hyperbolic distance to the target.  Carries a dense fast
-    path over [packed_coords]. *)
+    minimises the hyperbolic distance to the target.  Scores read
+    [packed_coords]. *)
 
 val of_fun : name:string -> target:int -> (int -> float) -> t
 (** Wrap an arbitrary scoring function; the target's score is forced to
     [infinity].  (Lattice-greedy on Kleinberg graphs uses this with the
-    negated Manhattan distance.)  No dense fast path. *)
+    negated Manhattan distance.) *)
 
 val hash_unit : seed:int -> int -> float
 (** [hash_unit ~seed v]: deterministic uniform in [[0, 1)] from one
@@ -86,7 +77,7 @@ val noisy_factor : seed:int -> spread:float -> t -> t
     deterministic pseudo-random factor [exp u], [u] uniform in
     [[-spread, spread]] (a function of [seed] and the vertex id).  The
     target's score stays [infinity].  Chains off the base objective's
-    {!scorer}, so a dense base keeps its fast path. *)
+    [score], so it inherits the base's fast path. *)
 
 val noisy_polynomial :
   seed:int -> delta:float -> weights:float array -> t -> t
@@ -111,10 +102,10 @@ module Memo : sig
   val create : unit -> scratch
 
   val wrap : scratch -> n:int -> t -> t
-  (** [wrap scratch ~n t]: [t] with its evaluation path memoised over
-      vertex ids [0 .. n-1], and its {!kernel} kept.  Starts a fresh epoch
+  (** [wrap scratch ~n t]: [t] with its [score] memoised over vertex ids
+      [0 .. n-1], and its {!kernel} kept.  Starts a fresh epoch
       (previous cached values become invisible; an objective from an
       earlier [wrap] stays correct but stops caching).  Observability
       counters are unaffected — routers count logical evaluations before
-      calling the scorer. *)
+      calling [score]. *)
 end

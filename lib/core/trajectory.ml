@@ -9,7 +9,8 @@ type point = {
 let of_walk ~(inst : Girg.Instance.t) ~target ~walk =
   let objective = Objective.girg_phi inst ~target in
   let phi = Objective.scorer objective in
-  let xt = inst.positions.(target) in
+  let xt = Geometry.Torus.Packed.get inst.packed target in
+  let dist_to = Geometry.Torus.Packed.dist_to_fn inst.packed Geometry.Torus.Linf in
   List.mapi
     (fun hop v ->
       {
@@ -17,7 +18,7 @@ let of_walk ~(inst : Girg.Instance.t) ~target ~walk =
         vertex = v;
         weight = inst.weights.(v);
         objective = phi v;
-        dist_to_target = Geometry.Torus.dist_linf inst.positions.(v) xt;
+        dist_to_target = dist_to v xt;
       })
     walk
 

@@ -25,9 +25,7 @@ let run ctx =
         [
           ("phi (weight-aware)", fun ~target -> Greedy_routing.Objective.girg_phi inst ~target);
           ( "geometric (degree-agnostic)",
-            fun ~target ->
-              Greedy_routing.Objective.geometric ~packed:inst.packed
-                ~positions:inst.positions ~target () );
+            fun ~target -> Greedy_routing.Objective.geometric ~packed:inst.packed ~target );
         ]
       in
       List.iter

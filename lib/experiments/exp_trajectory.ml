@@ -18,13 +18,14 @@ let run ctx =
   let giant = Sparse_graph.Components.giant_members comps in
   (* Milgram-typical endpoints: low weight, geometrically far apart. *)
   let eligible v = inst.weights.(v) <= 1.5 in
+  let dist = Geometry.Torus.Packed.dist_between_fn inst.packed Geometry.Torus.Linf in
   let trajectories = ref [] in
   for _ = 1 to attempts do
     let i, j = Prng.Dist.sample_distinct_pair rng ~n:(Array.length giant) in
     let s = giant.(i) and t = giant.(j) in
     if
       eligible s && eligible t
-      && Geometry.Torus.dist_linf inst.positions.(s) inst.positions.(t) >= 0.2
+      && dist s t >= 0.2
     then begin
       let objective = Greedy_routing.Objective.girg_phi inst ~target:t in
       let outcome =

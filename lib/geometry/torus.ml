@@ -67,6 +67,12 @@ module Packed = struct
     done;
     { dim; n; data }
 
+  let of_flat ~dim data =
+    if dim < 1 then invalid_arg "Torus.Packed.of_flat: dim must be >= 1";
+    if Array.length data mod dim <> 0 then
+      invalid_arg "Torus.Packed.of_flat: length is not a multiple of dim";
+    { dim; n = Array.length data / dim; data }
+
   let dim t = t.dim
   let length t = t.n
   let data t = t.data

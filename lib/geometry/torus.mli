@@ -56,6 +56,13 @@ module Packed : sig
   (** Pack an array of [dim]-dimensional points.
       @raise Invalid_argument if a point has the wrong dimension. *)
 
+  val of_flat : dim:int -> float array -> t
+  (** Wrap a dim-strided buffer as it is, without copying: vertex [v]'s
+      coordinates are indices [v*dim .. v*dim + dim - 1].  The store owns
+      the buffer from then on; do not mutate it.
+      @raise Invalid_argument if [dim < 1] or the length is not a multiple
+      of [dim]. *)
+
   val dim : t -> int
   val length : t -> int
   (** Number of stored points. *)

@@ -3,7 +3,6 @@ type sampler = Auto | Use_naive | Use_cell
 type t = {
   params : Params.t;
   weights : float array;
-  positions : Geometry.Torus.point array;
   packed : Geometry.Torus.Packed.t;
   graph : Sparse_graph.Graph.t;
 }
@@ -60,7 +59,7 @@ let generate_with ?(sampler = Auto) ?pool ~rng ~params ~weights ~positions () =
           (Edge_buf.flat buf))
   in
   let packed = Geometry.Torus.Packed.of_points ~dim:params.Params.dim positions in
-  { params; weights; positions; packed; graph }
+  { params; weights; packed; graph }
 
 type vertex_data = {
   count : int;
@@ -122,7 +121,7 @@ let generate_pinned ?(sampler = Auto) ?pool ~rng ~params ~pinned () =
   generate_with ~sampler ?pool ~rng:rng_edges ~params ~weights ~positions ()
 
 let connection_prob t u v =
-  let dist = Geometry.Torus.dist_fn t.params.Params.norm t.positions.(u) t.positions.(v) in
+  let dist = Geometry.Torus.Packed.dist_between_fn t.packed t.params.Params.norm u v in
   Kernel.girg_prob t.params ~wu:t.weights.(u) ~wv:t.weights.(v) ~dist
 
 let expected_avg_weight (p : Params.t) = p.w_min *. (p.beta -. 1.0) /. (p.beta -. 2.0)

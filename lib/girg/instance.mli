@@ -12,10 +12,10 @@ type sampler =
 type t = {
   params : Params.t;
   weights : float array;
-  positions : Geometry.Torus.point array;
   packed : Geometry.Torus.Packed.t;
-      (** Same coordinates as [positions], flat dim-strided — the routing
-          hot paths read this (see {!Geometry.Torus.Packed}). *)
+      (** The positions: the instance's one coordinate store, flat and
+          dim-strided (see {!Geometry.Torus.Packed}).  [Packed.get] copies
+          out one vertex's point for cold paths. *)
   graph : Sparse_graph.Graph.t;
 }
 
@@ -64,7 +64,9 @@ val generate_with :
   unit ->
   t
 (** Build an instance from externally chosen weights/positions (used to pin
-    source/target vertices adversarially, as the paper's theorems allow). *)
+    source/target vertices adversarially, as the paper's theorems allow).
+    The point array is a generation input: the samplers read it, and the
+    instance keeps it packed once into [packed]. *)
 
 val generate_pinned :
   ?sampler:sampler ->

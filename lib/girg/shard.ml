@@ -206,7 +206,6 @@ let merge ~paths () =
           {
             Instance.params = h.params;
             weights = vd.Instance.v_weights;
-            positions = vd.Instance.v_positions;
             packed =
               Geometry.Torus.Packed.of_points ~dim:h.params.Params.dim vd.Instance.v_positions;
             graph;

@@ -13,9 +13,13 @@ let save ~path (inst : Instance.t) =
       Printf.fprintf oc "# smallworld-girg n=%d dim=%d beta=%h w_min=%h alpha=%s c=%h norm=%s poisson=%b count=%d\n"
         p.Params.n p.Params.dim p.Params.beta p.Params.w_min (alpha_to_field p.Params.alpha)
         p.Params.c (Params.norm_to_string p.Params.norm) p.Params.poisson_count count;
+      let dim = Geometry.Torus.Packed.dim inst.packed in
+      let coords = Geometry.Torus.Packed.data inst.packed in
       for v = 0 to count - 1 do
         Printf.fprintf oc "%d %h" v inst.weights.(v);
-        Array.iter (fun x -> Printf.fprintf oc " %h" x) inst.positions.(v);
+        for i = v * dim to (v * dim) + dim - 1 do
+          Printf.fprintf oc " %h" coords.(i)
+        done;
         Out_channel.output_char oc '\n'
       done;
       Printf.fprintf oc "edges %d\n" (Sparse_graph.Graph.m inst.graph);
@@ -77,13 +81,12 @@ let load_text ic =
       match parse_header header with
       | Error e -> Error e
       | Ok (params, count) -> begin
-          if count < 0 || count > Sys.max_array_length then
+          let dim = params.Params.dim in
+          if count < 0 || count > Sys.max_array_length / dim then
             fail "vertex count %d out of range" count
           else begin
-            let weights = Array.make (max 1 count) 0.0 in
-            let positions = Array.make (max 1 count) [||] in
-            let weights = if count = 0 then [||] else weights in
-            let positions = if count = 0 then [||] else positions in
+            let weights = Array.make count 0.0 in
+            let coords = Array.make (count * dim) 0.0 in
             let error = ref None in
             (try
                for v = 0 to count - 1 do
@@ -92,17 +95,16 @@ let load_text ic =
                  | Some line -> begin
                      match String.split_on_char ' ' (String.trim line) with
                      | id_str :: w_str :: coord_strs
-                       when List.length coord_strs = params.Params.dim -> begin
+                       when List.length coord_strs = dim -> begin
                          match
                            ( int_of_string_opt id_str,
                              float_of_string_opt w_str,
                              List.map float_of_string_opt coord_strs )
                          with
-                         | Some id, Some w, coords
-                           when id = v && List.for_all Option.is_some coords ->
+                         | Some id, Some w, xs when id = v && List.for_all Option.is_some xs
+                           ->
                              weights.(v) <- w;
-                             positions.(v) <-
-                               Array.of_list (List.map Option.get coords)
+                             List.iteri (fun i x -> coords.((v * dim) + i) <- Option.get x) xs
                          | _ ->
                              error := Some (Printf.sprintf "bad vertex line %d" v);
                              raise Exit
@@ -153,10 +155,7 @@ let load_text ic =
                                 {
                                   Instance.params;
                                   weights;
-                                  positions;
-                                  packed =
-                                    Geometry.Torus.Packed.of_points
-                                      ~dim:params.Params.dim positions;
+                                  packed = Geometry.Torus.Packed.of_flat ~dim coords;
                                   graph =
                                     Sparse_graph.Graph.of_flat_halves ~n:count
                                       ~len:(Edge_buf.flat_len buf) (Edge_buf.flat buf);
@@ -244,30 +243,22 @@ let read_binary_header ic =
     Codec.corrupt "data sections are %Ld bytes, header promises %Ld" remaining expected;
   (params, count, m)
 
-let positions_of_flat ~count ~dim flat =
-  Array.init count (fun v -> Array.sub flat (v * dim) dim)
-
-let instance_of_sections ~params ~count weights positions offsets targets =
-  match Sparse_graph.Graph.of_bigarrays ~n:count ~offsets ~targets () with
-  | Error e -> Codec.corrupt "%s" e
-  | Ok graph ->
-      {
-        Instance.params;
-        weights;
-        positions;
-        packed = Geometry.Torus.Packed.of_points ~dim:params.Params.dim positions;
-        graph;
-      }
+(* The weights and positions sections, read onto the heap.  The positions
+   section is already the packed layout, so the store wraps it as read. *)
+let read_vertex_sections ic ~params ~count =
+  let weights = Codec.read_f64_array ic count "weights" in
+  let dim = params.Params.dim in
+  let coords = Codec.read_f64_array ic (count * dim) "positions" in
+  (weights, Geometry.Torus.Packed.of_flat ~dim coords)
 
 let load_binary ic =
   let params, count, m = read_binary_header ic in
-  let dim = params.Params.dim in
-  let weights = Codec.read_f64_array ic count "weights" in
-  let flat_pos = Codec.read_f64_array ic (count * dim) "positions" in
-  let positions = positions_of_flat ~count ~dim flat_pos in
+  let weights, packed = read_vertex_sections ic ~params ~count in
   let offsets = Codec.read_int_ba ic (count + 1) "offsets" in
   let targets = Codec.read_int_ba ic (2 * m) "targets" in
-  instance_of_sections ~params ~count weights positions offsets targets
+  match Sparse_graph.Graph.of_bigarrays ~n:count ~offsets ~targets () with
+  | Error e -> Codec.corrupt "%s" e
+  | Ok graph -> { Instance.params; weights; packed; graph }
 
 let load ~path =
   let dispatch ic =
@@ -296,15 +287,13 @@ let load ~path =
 let load_mmap ~path =
   let header ic =
     let params, count, m = read_binary_header ic in
-    let dim = params.Params.dim in
-    let weights = Codec.read_f64_array ic count "weights" in
-    let flat_pos = Codec.read_f64_array ic (count * dim) "positions" in
-    (params, count, m, weights, positions_of_flat ~count ~dim flat_pos, In_channel.pos ic)
+    let weights, packed = read_vertex_sections ic ~params ~count in
+    (params, count, m, weights, packed, In_channel.pos ic)
   in
   match In_channel.with_open_bin path header with
   | exception Sys_error msg -> Error msg
   | exception Codec.Corrupt msg -> Error msg
-  | params, count, m, weights, positions, csr_pos -> begin
+  | params, count, m, weights, packed, csr_pos -> begin
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       let map ~pos len =
         Bigarray.array1_of_genarray
@@ -331,15 +320,6 @@ let load_mmap ~path =
             Sparse_graph.Graph.of_bigarrays ~validate:false ~n:count ~offsets ~targets ()
           with
           | Error e -> Error e
-          | Ok graph ->
-              Ok
-                {
-                  Instance.params;
-                  weights;
-                  positions;
-                  packed =
-                    Geometry.Torus.Packed.of_points ~dim:params.Params.dim positions;
-                  graph;
-                }
+          | Ok graph -> Ok { Instance.params; weights; packed; graph }
         end
     end

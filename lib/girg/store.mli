@@ -34,12 +34,18 @@ val load : path:string -> (Instance.t, string) result
     round-trip through ["%h"]; binary sections are bit copies).  Both
     formats are validated structurally — truncated files, bad magic,
     endianness mismatches, and counts that disagree with the file size or
-    exceed array limits all yield [Error], never a crash. *)
+    exceed array limits all yield [Error], never a crash.
+
+    Cost: a binary file's sections are each read once, into the arrays
+    the instance keeps; the positions section becomes the packed
+    coordinate store as read (8·dim bytes per vertex, no per-vertex
+    point).  The text loader parses coordinates straight into one flat
+    array. *)
 
 val load_mmap : path:string -> (Instance.t, string) result
-(** Binary snapshots only.  Weights and positions are materialised on the
-    heap, but the CSR offsets/targets sections are [Unix.map_file]'d
-    read-only and traversed zero-copy: the graph pages in lazily and stays
+(** Binary snapshots only.  Weights and positions are read onto the heap
+    as in {!load}, but the CSR offsets/targets sections are
+    [Unix.map_file]'d read-only and traversed zero-copy: the graph pages in lazily and stays
     out of the OCaml heap, so peak RSS stays well below {!load} for large
     instances.  The mapping lives as long as the returned graph's arrays;
     the snapshot file must not be modified while the instance is in use. *)

@@ -150,12 +150,11 @@ let infer ~rng ~graph ?(fit_temperature = 0.5) ?(candidates = 32)
 
 let to_hrg t ~graph =
   let weights = Array.map (fun c -> Hrg.girg_weight t.params ~r:c.Hrg.r) t.coords in
-  let positions = Array.map Hrg.girg_position t.coords in
   {
     Hrg.params = t.params;
     coords = t.coords;
     packed_coords = Hrg.pack_coords t.coords;
     weights;
-    positions;
+    packed = Hrg.girg_packed t.coords;
     graph;
   }

@@ -47,6 +47,9 @@ let girg_weight p ~r = float_of_int p.n *. exp (-.r /. 2.0)
 
 let girg_position (pt : polar) = [| pt.angle /. (2.0 *. Float.pi) |]
 
+let girg_packed coords =
+  Geometry.Torus.Packed.of_flat ~dim:1 (Array.map (fun pt -> pt.angle /. (2.0 *. Float.pi)) coords)
+
 let polar_of_girg p ~weight ~position =
   { r = 2.0 *. log (float_of_int p.n /. weight); angle = position.(0) *. 2.0 *. Float.pi }
 
@@ -98,7 +101,7 @@ type t = {
   coords : polar array;
   packed_coords : float array;
   weights : float array;
-  positions : Geometry.Torus.point array;
+  packed : Geometry.Torus.Packed.t;
   graph : Sparse_graph.Graph.t;
 }
 
@@ -118,7 +121,6 @@ let generate ?(sampler = Auto) ~rng p =
   let rng_edges = Prng.Rng.split rng in
   let coords = sample_points ~rng:rng_points p ~count:p.n in
   let weights = Array.map (fun pt -> girg_weight p ~r:pt.r) coords in
-  let positions = Array.map girg_position coords in
   let use_cell =
     match sampler with Use_cell -> true | Use_naive -> false | Auto -> p.n > 600
   in
@@ -126,7 +128,7 @@ let generate ?(sampler = Auto) ~rng p =
     if use_cell then
       fst
         (Girg.Cell.sample_edges_buf_stats ~rng:rng_edges ~kernel:(kernel p) ~weights
-           ~positions ())
+           ~positions:(Array.map girg_position coords) ())
     else begin
       (* Native reference: all pairs with the hyperbolic distance directly. *)
       let buf = Girg.Edge_buf.create () in
@@ -144,4 +146,11 @@ let generate ?(sampler = Auto) ~rng p =
     Sparse_graph.Graph.of_flat_halves ~n:p.n ~len:(Girg.Edge_buf.flat_len buf)
       (Girg.Edge_buf.flat buf)
   in
-  { params = p; coords; packed_coords = pack_coords coords; weights; positions; graph }
+  {
+    params = p;
+    coords;
+    packed_coords = pack_coords coords;
+    weights;
+    packed = girg_packed coords;
+    graph;
+  }

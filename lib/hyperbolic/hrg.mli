@@ -52,6 +52,9 @@ val girg_weight : params -> r:float -> float
 val girg_position : polar -> Geometry.Torus.point
 (** [[| angle / 2 pi |]]. *)
 
+val girg_packed : polar array -> Geometry.Torus.Packed.t
+(** Every point's {!girg_position}, as one 1-dimensional packed store. *)
+
 val polar_of_girg : params -> weight:float -> position:Geometry.Torus.point -> polar
 (** Inverse mapping (radius [2 ln (n/w)]). *)
 
@@ -68,7 +71,8 @@ type t = {
       (** Same points as [coords], interleaved [[r0; angle0; r1; angle1; ...]]
           — the flat layout the routing hot paths read. *)
   weights : float array;  (** GIRG-equivalent weights *)
-  positions : Geometry.Torus.point array;  (** GIRG-equivalent positions *)
+  packed : Geometry.Torus.Packed.t;
+      (** GIRG-equivalent positions ({!girg_packed} of [coords]) *)
   graph : Sparse_graph.Graph.t;
 }
 

@@ -12,13 +12,21 @@ let of_instance (inst : Girg.Instance.t) =
       denom = p.Girg.Params.w_min *. float_of_int p.Girg.Params.n;
     }
   in
-  let address v = { id = v; weight = inst.weights.(v); position = inst.positions.(v) } in
-  Array.init (Array.length inst.weights) (fun v ->
+  (* One address per vertex, built once (with its point copied out of the
+     packed store) and shared by every view that names it. *)
+  let addresses =
+    Array.init (Array.length inst.weights) (fun v ->
+        { id = v; weight = inst.weights.(v); position = Geometry.Torus.Packed.get inst.packed v })
+  in
+  Array.map
+    (fun self ->
       {
         config;
-        self = address v;
-        neighbors = Array.map address (Sparse_graph.Graph.neighbors inst.graph v);
+        self;
+        neighbors =
+          Array.map (Array.get addresses) (Sparse_graph.Graph.neighbors inst.graph self.id);
       })
+    addresses
 
 let phi view addr ~target =
   if addr.id = target.id then infinity

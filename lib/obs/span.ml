@@ -14,9 +14,9 @@
    a Parallel pool task parents to whatever is open on that worker
    domain, not to the submitter's enclosing span.  The finished-roots
    list is mutex-guarded, so rootless spans from any domain land in
-   [roots ()] without racing.  Note [Gc.allocated_bytes] is per-domain
-   in OCaml 5, so a span's [alloc_bytes] covers only allocation done on
-   its own domain. *)
+   [roots ()] without racing.  Note the GC counters are per-domain in
+   OCaml 5, so a span's [alloc_bytes] covers only allocation done on its
+   own domain. *)
 
 type t = {
   name : string;
@@ -27,6 +27,17 @@ type t = {
 }
 
 let enabled = Metrics.enabled
+
+(* [Gc.allocated_bytes], and the minor term of [Gc.counters], undercount
+   minor allocation between minor collections and catch up at each one,
+   so a short window reads low or jumps depending on how full the minor
+   heap was on entry.  [Gc.minor_words] is exact for the minor heap; the
+   major and promoted terms of [Gc.counters] are exact, and their
+   difference is what went to the major heap directly. *)
+let allocated_bytes () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  (minor +. major -. promoted) *. float_of_int (Sys.word_size / 8)
 
 type frame = { span : t; t0 : float; a0 : float }
 
@@ -75,7 +86,7 @@ let run_frame ~name ~capture f =
     {
       span = { name; count = 1; wall_s = 0.0; alloc_bytes = 0.0; children = [] };
       t0 = Unix.gettimeofday ();
-      a0 = Gc.allocated_bytes ();
+      a0 = allocated_bytes ();
     }
   in
   stack := fr :: !stack;
@@ -85,7 +96,7 @@ let run_frame ~name ~capture f =
       ~finally:(fun () ->
         (match !stack with [] -> () | _ :: rest -> stack := rest);
         fr.span.wall_s <- Unix.gettimeofday () -. fr.t0;
-        fr.span.alloc_bytes <- Gc.allocated_bytes () -. fr.a0;
+        fr.span.alloc_bytes <- allocated_bytes () -. fr.a0;
         capture fr.span;
         dst := finish stack fr)
       f

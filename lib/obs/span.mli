@@ -1,7 +1,7 @@
 (** Nestable timed scopes producing a rolled-up tree per trace root.
 
     Each completed span records wall-clock seconds and bytes allocated
-    (via [Gc.allocated_bytes], inclusive of children).  Sibling spans
+    (via {!allocated_bytes}, inclusive of children).  Sibling spans
     with the same name merge — counts, times and subtrees accumulate —
     so a span inside a loop shows up once with [count] = iterations.
     Spans closed with an empty stack become trace roots, retrievable
@@ -14,6 +14,15 @@ type t = {
   mutable alloc_bytes : float;  (** inclusive GC-allocated bytes *)
   mutable children : t list;  (** first-seen order *)
 }
+
+val allocated_bytes : unit -> float
+(** Bytes allocated so far by the calling domain, minor and major heap
+    alike: [(Gc.minor_words () + major - promoted) * word size], the last
+    two from [Gc.counters].  Exact at any moment, unlike
+    [Gc.allocated_bytes], whose minor term lags between minor collections;
+    the difference of two readings is the allocation between them, plus
+    a constant 96 bytes (on 64-bit) for the reading itself.  Spans, the
+    cost contracts and the allocation budgets read this. *)
 
 val enabled : bool
 (** Same kill switch as {!Metrics.enabled}: with [SMALLWORLD_OBS=0]

@@ -76,42 +76,20 @@ let distance g ~source ~target =
     let finished = ref false in
     while not !finished do
       let len_a = a.hi - a.lo and len_b = b.hi - b.lo in
-      if len_a = 0 && len_b = 0 then begin
-        finished := true;
-        result := if !best < max_int then Some !best else None
-      end
-      else if !best < max_int && !best <= a.depth + b.depth + 1 then begin
+      if !best < max_int && !best <= a.depth + b.depth + 1 then begin
         (* No shorter path can appear: any further meeting costs more. *)
         finished := true;
         result := Some !best
       end
-      else if len_b = 0 || (len_a <> 0 && len_a <= len_b) then expand a b
+      else if len_a = 0 || len_b = 0 then
+        (* One side has exhausted its component without a meeting, so the
+           pair is disconnected: each endpoint is stamped at depth 0, and
+           an exhausted side would have reached the other. *)
+        finished := true
+      else if len_a <= len_b then expand a b
       else expand b a
     done;
     !result
-
-let shortest_path g ~source ~target =
-  let n = Graph.n g in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(source) <- true;
-  Queue.add source queue;
-  let found = ref (source = target) in
-  while (not !found) && not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Graph.iter_neighbors g u (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- u;
-          if v = target then found := true else Queue.add v queue
-        end)
-  done;
-  if not !found then None
-  else begin
-    let rec backtrack v acc = if v = source then v :: acc else backtrack parent.(v) (v :: acc) in
-    Some (backtrack target [])
-  end
 
 let eccentricity_lower_bound g ~source =
   Array.fold_left max 0 (distances g ~source)

@@ -39,25 +39,33 @@ let bidirectional_matches_full_prop =
       let expected = if full < 0 then None else Some full in
       Bfs.distance g ~source:s ~target:t = expected)
 
-let shortest_path_valid_prop =
-  QCheck2.Test.make ~name:"shortest_path is a valid shortest path" ~count:150
+(* Many small components: vertices fall into blocks of 1 to 5, and edges
+   join only vertices of one block, so most pairs are disconnected and
+   each side of the bidirectional search runs dry at a different depth. *)
+let small_components_match_full_prop =
+  QCheck2.Test.make ~name:"many small components: bidirectional BFS = full BFS" ~count:100
     QCheck2.Gen.(
-      tup3 (list_size (int_bound 40) (tup2 (int_bound 11) (int_bound 11)))
-        (int_bound 11) (int_bound 11))
-    (fun (edges, s, t) ->
-      let g = Graph.of_edge_list ~n:12 edges in
-      match Bfs.shortest_path g ~source:s ~target:t with
-      | None -> (Bfs.distances g ~source:s).(t) < 0
-      | Some path ->
-          let rec consecutive_edges = function
-            | a :: (b :: _ as rest) -> Graph.has_edge g a b && consecutive_edges rest
-            | [ _ ] | [] -> true
-          in
-          let len = List.length path - 1 in
-          List.hd path = s
-          && List.nth path len = t
-          && consecutive_edges path
-          && len = (Bfs.distances g ~source:s).(t))
+      tup3 (int_range 2 60) (int_range 1 5)
+        (list_size (int_bound 80) (tup2 (int_bound 59) (int_bound 4))))
+    (fun (n, block, raw) ->
+      let edges =
+        List.filter_map
+          (fun (u, k) ->
+            let u = u mod n in
+            let v = ((u / block) * block) + (k mod block) in
+            if v < n then Some (u, v) else None)
+          raw
+      in
+      let g = Graph.of_edge_list ~n edges in
+      List.for_all
+        (fun s ->
+          let full = Bfs.distances g ~source:s in
+          List.for_all
+            (fun t ->
+              let expected = if full.(t) < 0 then None else Some full.(t) in
+              Bfs.distance g ~source:s ~target:t = expected)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
 
 let test_eccentricity () =
   let g = path_graph 7 in
@@ -116,7 +124,7 @@ let suite =
     Alcotest.test_case "single pair" `Quick test_single_pair;
     Alcotest.test_case "single pair disconnected" `Quick test_single_pair_disconnected;
     QCheck_alcotest.to_alcotest bidirectional_matches_full_prop;
-    QCheck_alcotest.to_alcotest shortest_path_valid_prop;
+    QCheck_alcotest.to_alcotest small_components_match_full_prop;
     Alcotest.test_case "eccentricity lower bound" `Quick test_eccentricity;
     Alcotest.test_case "bidirectional on random graph" `Quick test_bidirectional_on_random_larger;
   ]

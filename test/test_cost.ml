@@ -4,10 +4,11 @@
    Each row names an operation and its claimed cost.  [test_row] runs it
    on the same route at two sizes, n = 2^12 and n = 2^16, once to warm
    up (per-domain scratch grows to n on first use and is kept) and once
-   measured with [Gc.allocated_bytes], which counts minor and major
-   allocation alike.  The two measurements must agree within [slack]
-   bytes: a row whose cost grew with n — an n-sized array per call is
-   32 KB at 2^12 and 512 KB at 2^16 — fails and names itself. *)
+   measured with [Obs.Span.allocated_bytes], which counts minor and
+   major allocation alike, exactly.  The two measurements must agree
+   within [slack] bytes: a row whose cost grew with n — an n-sized array
+   per call is 32 KB at 2^12 and 512 KB at 2^16 — fails and names
+   itself. *)
 
 open Greedy_routing
 module G = Sparse_graph.Graph
@@ -16,25 +17,30 @@ let sizes = (1 lsl 12, 1 lsl 16)
 let slack = 512.0
 
 (* A ring of n unit-weight vertices at positions v/n on the 1-torus, each
-   joined to the vertices one and two places away.  A route between two
-   vertices a fixed number of places apart takes the same walk at every
-   n, so only n-dependent cost can differ between the sizes. *)
+   joined to the vertices one and two places away, plus one isolated
+   vertex n.  A route between two ring vertices a fixed number of places
+   apart takes the same walk at every n, so only n-dependent cost can
+   differ between the sizes. *)
 let ring n =
-  let positions = Array.init n (fun v -> [| float_of_int v /. float_of_int n |]) in
   let edges = Array.init (2 * n) (fun i -> (i / 2, ((i / 2) + 1 + (i mod 2)) mod n)) in
   {
     Girg.Instance.params = Girg.Params.make ~dim:1 ~poisson_count:false ~n ();
-    weights = Array.make n 1.0;
-    positions;
-    packed = Geometry.Torus.Packed.of_points ~dim:1 positions;
-    graph = G.of_edges ~n edges;
+    weights = Array.make (n + 1) 1.0;
+    packed =
+      Geometry.Torus.Packed.of_flat ~dim:1
+        (Array.init (n + 1) (fun v ->
+             if v < n then float_of_int v /. float_of_int n else 0.5 /. float_of_int n));
+    graph = G.of_edges ~n:(n + 1) edges;
   }
 
 type row = {
   op : string;
   claim : string;
+  pair : int -> int * int;  (** source and target at ring size n *)
   run : Girg.Instance.t -> Objective.Memo.scratch -> source:int -> target:int -> unit;
 }
+
+let on_ring n = (n / 2, (n / 2) + 9)
 
 let route protocol inst memo ~source ~target =
   let graph = inst.Girg.Instance.graph in
@@ -43,31 +49,48 @@ let route protocol inst memo ~source ~target =
   in
   ignore (Protocol.run protocol ~graph ~objective ~source ())
 
+let bfs_distance inst _ ~source ~target =
+  ignore (Sparse_graph.Bfs.distance inst.Girg.Instance.graph ~source ~target)
+
 let rows =
   [
-    { op = "greedy route"; claim = "O(path)"; run = route Protocol.Greedy };
-    { op = "phi-dfs route"; claim = "O(visited + steps)"; run = route Protocol.Patch_dfs };
-    { op = "history route"; claim = "O(visited degrees + steps)"; run = route Protocol.Patch_history };
-    { op = "gravity-pressure route"; claim = "O(steps)"; run = route Protocol.Gravity_pressure };
+    { op = "greedy route"; claim = "O(path)"; pair = on_ring; run = route Protocol.Greedy };
     {
-      op = "Bfs.distance";
-      claim = "O(visited)";
-      run =
-        (fun inst _ ~source ~target ->
-          ignore (Sparse_graph.Bfs.distance inst.Girg.Instance.graph ~source ~target));
+      op = "phi-dfs route";
+      claim = "O(visited + steps)";
+      pair = on_ring;
+      run = route Protocol.Patch_dfs;
+    };
+    {
+      op = "history route";
+      claim = "O(visited degrees + steps)";
+      pair = on_ring;
+      run = route Protocol.Patch_history;
+    };
+    {
+      op = "gravity-pressure route";
+      claim = "O(steps)";
+      pair = on_ring;
+      run = route Protocol.Gravity_pressure;
+    };
+    { op = "Bfs.distance"; claim = "O(visited)"; pair = on_ring; run = bfs_distance };
+    {
+      op = "Bfs.distance, disconnected pair";
+      claim = "O(smaller component)";
+      pair = (fun n -> (n, n / 2));
+      run = bfs_distance;
     };
   ]
 
 let measure row n =
   let inst = ring n in
   let memo = Objective.Memo.create () in
-  let source = n / 2 in
-  let target = source + 9 in
+  let source, target = row.pair n in
   let go () = row.run inst memo ~source ~target in
   go ();
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Obs.Span.allocated_bytes () in
   go ();
-  Gc.allocated_bytes () -. b0
+  Obs.Span.allocated_bytes () -. b0
 
 let test_row row () =
   let small, large = sizes in

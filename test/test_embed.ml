@@ -89,7 +89,7 @@ let test_to_hrg_consistency () =
         w;
       Alcotest.(check (float 1e-9)) "position matches angle"
         (c.Hrg.angle /. (2.0 *. Float.pi))
-        packaged.Hrg.positions.(v).(0))
+        (Geometry.Torus.Packed.coord packaged.Hrg.packed v 0))
     emb.Embed.coords
 
 let test_disconnected_graph () =

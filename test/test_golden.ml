@@ -59,7 +59,7 @@ let check_or_regen ~name actual =
    "ID BYTES" line per id in [golden/alloc_quick.txt].  Allocation is
    deterministic at a fixed seed, so a case fails only on a structural
    change (a hot path started boxing): more than twice its budget and
-   more than 1 MB over it.  [Gc.allocated_bytes] counts the calling
+   more than 1 MB over it.  [Obs.Span.allocated_bytes] counts the calling
    domain alone, so the check runs only at jobs = 1.  The same
    SMALLWORLD_GOLDEN_REGEN run rewrites the budgets. *)
 
@@ -80,9 +80,9 @@ let read_budgets () =
              | _ -> Alcotest.failf "%s: malformed line %S" alloc_file line)
 
 let allocating f =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Obs.Span.allocated_bytes () in
   let r = f () in
-  (r, Float.to_int (Gc.allocated_bytes () -. a0))
+  (r, Float.to_int (Obs.Span.allocated_bytes () -. a0))
 
 let check_alloc id bytes =
   if not (alloc_gated ()) then

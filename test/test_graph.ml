@@ -355,9 +355,9 @@ let test_apply_cost () =
   let n = 1 lsl 16 in
   let g0 = Graph.of_edges ~n (Array.init n (fun v -> (v, (v + 1) mod n))) in
   let cost g mu =
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Obs.Span.allocated_bytes () in
     let g' = Sys.opaque_identity (Graph.apply g [ mu ]) in
-    (g', Gc.allocated_bytes () -. a0)
+    (g', Obs.Span.allocated_bytes () -. a0)
   in
   let g1, fresh = cost g0 (Graph.Remove_edge (0, 1)) in
   let g2, delta = cost g1 (Graph.Remove_edge (n / 2, (n / 2) + 1)) in

@@ -28,8 +28,8 @@ let test_phi_maximised_at_target () =
   done
 
 let test_geometric_objective () =
-  let positions = [| [| 0.0; 0.0 |]; [| 0.4; 0.4 |]; [| 0.5; 0.5 |] |] in
-  let obj = Objective.geometric ~positions ~target:2 () in
+  let packed = Geometry.Torus.Packed.of_flat ~dim:2 [| 0.0; 0.0; 0.4; 0.4; 0.5; 0.5 |] in
+  let obj = Objective.geometric ~packed ~target:2 in
   Alcotest.(check bool) "closer scores higher" true
     (obj.Objective.score 1 > obj.Objective.score 0);
   Alcotest.(check bool) "target inf" true (obj.Objective.score 2 = infinity)
@@ -160,15 +160,36 @@ let test_hash_unit_matches_int64 () =
       if a <> b then Alcotest.failf "hash_unit mismatch at seed=%d v=%d" seed v)
     [ (max_int, 0); (min_int, 0); (max_int, max_int - 1); (min_int, 17); (0, max_int - 1) ]
 
-(* --- dense fast paths: bit-identical to the closure paths ---------------- *)
+(* --- the dense score closures: bit-identical to reference formulas ------- *)
 
-let check_dense_identical ~name ~n obj =
-  let dense = Objective.scorer obj in
+(* Each objective's [score] reads flat stores through (norm, dim)-specialised
+   kernels.  The references below spell each formula out over
+   [Geometry.Torus.dist] on points copied out of the packed store (for phi_H,
+   over [Hrg.coords]); the two must agree bit for bit. *)
+
+let check_identical ~name ~n (obj : Objective.t) reference =
   for v = 0 to n - 1 do
     let a = obj.Objective.score v in
-    let b = dense v in
-    if a <> b then Alcotest.failf "%s: dense <> score at v=%d: %h <> %h" name v a b
+    let b = reference v in
+    if Int64.bits_of_float a <> Int64.bits_of_float b then
+      Alcotest.failf "%s: score <> reference at v=%d: %h <> %h" name v a b
   done
+
+let phi_reference (inst : Girg.Instance.t) ~target v =
+  if v = target then infinity
+  else begin
+    let p = inst.params in
+    let point = Geometry.Torus.Packed.get inst.packed in
+    let dist = Geometry.Torus.dist ~norm:p.Girg.Params.norm (point v) (point target) in
+    let dist_d =
+      match p.Girg.Params.dim with
+      | 1 -> dist
+      | 2 -> dist *. dist
+      | 3 -> dist *. dist *. dist
+      | d -> dist ** float_of_int d
+    in
+    inst.weights.(v) /. (p.Girg.Params.w_min *. float_of_int p.Girg.Params.n *. dist_d)
+  end
 
 let test_dense_girg_phi_identical () =
   List.iter
@@ -181,7 +202,8 @@ let test_dense_girg_phi_identical () =
       let name =
         Printf.sprintf "phi %s dim=%d" (Girg.Params.norm_to_string norm) dim
       in
-      check_dense_identical ~name ~n (Objective.girg_phi inst ~target:(n / 3)))
+      let target = n / 3 in
+      check_identical ~name ~n (Objective.girg_phi inst ~target) (phi_reference inst ~target))
     [
       (Geometry.Torus.Linf, 1);
       (Geometry.Torus.Linf, 2);
@@ -198,23 +220,53 @@ let test_dense_geometric_identical () =
   let rng = Prng.Rng.create ~seed:12 in
   let positions = Array.init 200 (fun _ -> Geometry.Torus.random_point rng ~dim:2) in
   let packed = Geometry.Torus.Packed.of_points ~dim:2 positions in
-  check_dense_identical ~name:"geometric" ~n:200
-    (Objective.geometric ~packed ~positions ~target:55 ())
+  let target = 55 in
+  let point = Geometry.Torus.Packed.get packed in
+  check_identical ~name:"geometric" ~n:200 (Objective.geometric ~packed ~target) (fun v ->
+      if v = target then infinity
+      else 1.0 /. Geometry.Torus.dist ~norm:Geometry.Torus.Linf (point v) (point target))
 
 let test_dense_hyperbolic_identical () =
   let p = Hyperbolic.Hrg.make ~n:300 () in
   let h = Hyperbolic.Hrg.generate ~rng:(Prng.Rng.create ~seed:13) p in
-  check_dense_identical ~name:"phi_H" ~n:300 (Objective.hyperbolic h ~target:42)
+  let target = 42 in
+  let ct = h.coords.(target) in
+  let reference v =
+    if v = target then infinity
+    else begin
+      let a = h.coords.(v) in
+      let dangle =
+        let d = abs_float (a.Hyperbolic.Hrg.angle -. ct.Hyperbolic.Hrg.angle) in
+        if d > Float.pi then (2.0 *. Float.pi) -. d else d
+      in
+      let cosh_dh =
+        cosh (a.Hyperbolic.Hrg.r -. ct.Hyperbolic.Hrg.r)
+        +. ((1.0 -. cos dangle) *. sinh a.Hyperbolic.Hrg.r *. sinh ct.Hyperbolic.Hrg.r)
+      in
+      float_of_int p.Hyperbolic.Hrg.n
+      /. (h.weights.(target) *. exp (-.p.Hyperbolic.Hrg.radius_c /. 2.0)
+         *. sqrt (Float.max 1.0 cosh_dh))
+    end
+  in
+  check_identical ~name:"phi_H" ~n:300 (Objective.hyperbolic h ~target) reference
 
 let test_dense_noisy_identical () =
   let params = Girg.Params.make ~dim:2 ~beta:2.5 ~c:0.4 ~n:300 ~poisson_count:false () in
   let inst = Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:14) params in
   let n = Array.length inst.weights in
-  let base = Objective.girg_phi inst ~target:(n / 2) in
-  check_dense_identical ~name:"noisy_factor" ~n
-    (Objective.noisy_factor ~seed:5 ~spread:1.5 base);
-  check_dense_identical ~name:"noisy_polynomial" ~n
+  let target = n / 2 in
+  let base = Objective.girg_phi inst ~target in
+  let phi = phi_reference inst ~target in
+  let u v = (2.0 *. Objective.hash_unit ~seed:5 v) -. 1.0 in
+  check_identical ~name:"noisy_factor" ~n
+    (Objective.noisy_factor ~seed:5 ~spread:1.5 base)
+    (fun v -> if v = target then infinity else phi v *. exp (u v *. 1.5));
+  check_identical ~name:"noisy_polynomial" ~n
     (Objective.noisy_polynomial ~seed:5 ~delta:0.7 ~weights:inst.weights base)
+    (fun v ->
+      let s = phi v in
+      if v = target || s <= 0.0 then s
+      else s *. (Float.max 1.0 (Float.min inst.weights.(v) (1.0 /. s)) ** (u v *. 0.7)))
 
 (* --- Memo ---------------------------------------------------------------- *)
 

@@ -125,6 +125,40 @@ let spin_allocate () =
   done;
   ignore (Sys.opaque_identity !acc)
 
+(* The allocation counter is exact: a fixed allocation reads the same
+   bytes whether the minor heap was empty on entry or so nearly full
+   that the allocation crosses a minor collection (which also promotes
+   part of it).  Each reading starts from a forced minor collection, so
+   neither depends on what ran before. *)
+let list_cells = 2_000
+
+let fixed_allocation () =
+  let rec build acc i = if i = 0 then acc else build (i :: acc) (i - 1) in
+  ignore (Sys.opaque_identity (build [] list_cells))
+
+let counter_reading ~fill_words =
+  Gc.minor ();
+  for _ = 1 to fill_words / 2 do
+    ignore (Sys.opaque_identity (ref 0))
+  done;
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let b0 = S.allocated_bytes () in
+  fixed_allocation ();
+  let bytes = S.allocated_bytes () -. b0 in
+  (bytes, (Gc.quick_stat ()).Gc.minor_collections - c0)
+
+let test_allocated_bytes_exact () =
+  let list_words = 3 * list_cells in
+  let empty, _ = counter_reading ~fill_words:0 in
+  let full, collections =
+    counter_reading ~fill_words:((Gc.get ()).Gc.minor_heap_size - (list_words / 2))
+  in
+  if collections < 1 then Alcotest.fail "the nearly full minor heap was not collected";
+  Alcotest.(check (float 0.0)) "same bytes, empty or nearly full minor heap" empty full;
+  let expected = float_of_int (list_words * (Sys.word_size / 8)) in
+  if empty < expected || empty > expected +. 256.0 then
+    Alcotest.failf "a %d-cell list read %.0f bytes, expected %.0f" list_cells empty expected
+
 let with_fresh_trace f =
   (* Tests share the process-global trace; isolate and restore nothing —
      each test clears before use. *)
@@ -483,6 +517,8 @@ let suite =
     Alcotest.test_case "snapshot deterministic" `Quick test_snapshot_deterministic;
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "no-op mode zeroed" `Quick test_noop_mode;
+    Alcotest.test_case "allocated_bytes is exact across a minor collection" `Quick
+      test_allocated_bytes_exact;
     Alcotest.test_case "span nesting and rollup" `Quick test_span_nesting_and_rollup;
     Alcotest.test_case "span root merge" `Quick test_span_root_merge;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;

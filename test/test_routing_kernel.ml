@@ -158,7 +158,6 @@ let planted ~dim ~norm =
   {
     Girg.Instance.params;
     weights = [| 1.0; 1.0; 2.0; 2.0; 2.0; 1.0 |];
-    positions;
     packed = Geometry.Torus.Packed.of_points ~dim positions;
     graph = G.of_edge_list ~n:6 [ (1, 2); (1, 3); (1, 4); (2, 0); (3, 5) ];
   }
@@ -201,8 +200,7 @@ let test_other_objectives_have_no_kernel () =
     [
       ("of_fun", Objective.of_fun ~name:"f" ~target:0 float_of_int);
       ( "geometric",
-        Objective.geometric ~packed:inst.Girg.Instance.packed ~positions:inst.Girg.Instance.positions
-          ~target:0 () );
+        Objective.geometric ~packed:inst.Girg.Instance.packed ~target:0 );
       ("noisy_factor", Objective.noisy_factor ~seed:1 ~spread:0.5 base);
       ("noisy_polynomial", Objective.noisy_polynomial ~seed:1 ~delta:0.5 ~weights:inst.weights base);
     ];

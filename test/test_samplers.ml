@@ -179,8 +179,8 @@ let test_generate_pinned () =
   in
   Alcotest.(check (float 0.0)) "pinned weight 0" 7.5 inst.weights.(0);
   Alcotest.(check (float 0.0)) "pinned weight 1" 1.0 inst.weights.(1);
-  Alcotest.(check (float 0.0)) "pinned position" 0.25 inst.positions.(0).(0);
-  Alcotest.(check (float 0.0)) "pinned position y" 0.75 inst.positions.(0).(1);
+  Alcotest.(check (float 0.0)) "pinned position" 0.25 (Geometry.Torus.Packed.coord inst.packed 0 0);
+  Alcotest.(check (float 0.0)) "pinned position y" 0.75 (Geometry.Torus.Packed.coord inst.packed 0 1);
   Alcotest.check_raises "weight below w_min"
     (Invalid_argument "Girg.generate_pinned: pinned weight below w_min") (fun () ->
       ignore
@@ -222,7 +222,7 @@ let test_pvt_ordering_matches_phi () =
   let phi v =
     inst.weights.(v)
     /. (params.Params.w_min *. float_of_int params.Params.n
-       *. (Geometry.Torus.dist_linf inst.positions.(v) inst.positions.(target) ** 2.0))
+       *. (Geometry.Torus.Packed.dist_between_fn inst.packed Geometry.Torus.Linf v target ** 2.0))
   in
   let rng = Prng.Rng.create ~seed:46 in
   for _ = 1 to 2000 do
