@@ -23,13 +23,7 @@
 (* All fatal exits go through the shared error taxonomy so bench and the
    route server agree on codes: perf-regression -> 1, caller errors
    (usage / io) -> 2, matching what CI gates on. *)
-let die code fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let e = Api.Error.make code "%s" msg in
-      prerr_endline (Api.Error.to_string e);
-      exit (Api.Error.exit_code e.Api.Error.code))
-    fmt
+let die code fmt = Printf.ksprintf (fun msg -> Api.Cli.fail (Api.Error.make code "%s" msg)) fmt
 
 (* Resolve --jobs (0 = all cores) before anything touches the shared
    pool; without the flag the pool falls back to SMALLWORLD_JOBS. *)

@@ -139,123 +139,9 @@ let run_cmd =
         (const run $ ids $ quick $ seed $ csv_dir $ obs_out $ events_out
        $ jobs_arg))
 
-let churn_cmd =
-  let doc =
-    "Run one churn scenario against a saved instance: per epoch, plan mutations \
-     (uniform flips, adversarial hub removal, or none for the Milgram quit model), \
-     apply them as one new graph version, and re-measure greedy delivery.  \
-     Deterministic for a fixed (seed, pair-seed): the same command replays \
-     bit-identically at any --jobs."
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Saved instance (Girg.Store format).")
-  in
-  let scenario =
-    Arg.(
-      value & opt string "uniform"
-      & info [ "scenario" ] ~docv:"S" ~doc:"uniform | adversarial | milgram.")
-  in
-  let epochs =
-    Arg.(value & opt int 3 & info [ "epochs" ] ~docv:"N" ~doc:"Mutation rounds.")
-  in
-  let events =
-    Arg.(
-      value & opt int 16
-      & info [ "events" ] ~docv:"N" ~doc:"Structural events per epoch.")
-  in
-  let quit =
-    Arg.(
-      value & opt float 0.0
-      & info [ "quit" ] ~docv:"P" ~doc:"Per-hop quit probability (Milgram).")
-  in
-  let seed = Api.Cli.seed in
-  let count =
-    Arg.(
-      value & opt int 200 & info [ "count" ] ~docv:"N" ~doc:"Measurement pairs per epoch.")
-  in
-  let pair_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "pair-seed" ] ~docv:"N" ~doc:"Seed of the measurement-pair substream.")
-  in
-  let protocol =
-    Arg.(
-      value & opt string "greedy"
-      & info [ "protocol" ] ~docv:"P" ~doc:"Routing protocol (see graphs_cli route).")
-  in
-  let max_steps =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Step cutoff per route.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Append one smallworld.churn.v1 JSONL record per epoch row.")
-  in
-  let run file scenario epochs events quit seed count pair_seed protocol max_steps out
-      jobs =
-    match apply_jobs jobs with
-    | Error e -> Error e
-    | Ok () -> (
-        let ( let* ) r f = Result.bind r f in
-        let wrap = Result.map_error (fun m -> `Msg m) in
-        let* scenario = wrap (Experiments.Churn.scenario_of_string scenario) in
-        let* protocol =
-          match Api.V1.protocol_of_string protocol with
-          | Ok p -> Ok p
-          | Error e -> Error (`Msg (Api.Error.to_string e))
-        in
-        let cfg =
-          {
-            Experiments.Churn.scenario;
-            epochs;
-            events;
-            quit;
-            seed;
-            count;
-            pair_seed;
-            protocol;
-            max_steps;
-          }
-        in
-        match Girg.Store.load ~path:file with
-        | Error e -> Error (`Msg (Printf.sprintf "cannot load %s: %s" file e))
-        | Ok inst ->
-            let _final, rows = Experiments.Churn.run_local cfg inst in
-            print_string (Stats.Table.render (Experiments.Churn.table cfg rows));
-            Option.iter
-              (fun file ->
-                Out_channel.with_open_gen
-                  [ Open_append; Open_creat; Open_wronly; Open_text ]
-                  0o644 file
-                  (fun oc ->
-                    List.iter
-                      (fun row ->
-                        output_string oc
-                          (Obs.Export.json_to_string
-                             (Experiments.Churn.record_json cfg row));
-                        output_char oc '\n')
-                      rows);
-                Printf.printf "wrote %d smallworld.churn.v1 records to %s\n"
-                  (List.length rows) file)
-              out;
-            Ok ())
-  in
-  Cmd.v
-    (Cmd.info "churn" ~doc)
-    Term.(
-      term_result
-        (const run $ file $ scenario $ epochs $ events $ quit $ seed $ count
-       $ pair_seed $ protocol $ max_steps $ out $ jobs_arg))
-
 let main =
   let doc = "Reproduction suite for 'Greedy Routing and the Algorithmic Small-World Phenomenon'" in
   Cmd.group (Cmd.info "smallworld-experiments" ~doc)
-    [ list_cmd; list_metrics_cmd; run_cmd; churn_cmd ]
+    [ list_cmd; list_metrics_cmd; run_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -11,9 +11,13 @@
 
    Every subcommand above the line goes through Api.V1.of_args — the
    same parser, defaults, and deprecation shims the daemon's clients
-   use; `api-schema` dumps the machine-readable surface.  Instances are
-   stored in the plain-text format of Girg.Store, so external tools can
-   consume them directly.                                               *)
+   use; `api-schema` dumps the machine-readable surface.  embed, import
+   and serve-status are not API ops: they parse with cmdliner terms
+   (sharing Api.Cli's --seed and --obs-out) and answer --help.
+   Instances are stored in the plain-text format of Girg.Store, so
+   external tools can consume them directly.                            *)
+
+open Cmdliner
 
 let usage =
   "usage: graphs_cli <op> [args]\n\
@@ -35,20 +39,18 @@ let usage =
   \     import FILE -o FILE                    edge list -> routable instance\n\
   \     api-schema                             dump the v1 request schema (JSON)\n\
   \     serve-status --port P [--prometheus]   live telemetry of a running daemon\n\
-   Flags per op: graphs_cli api-schema | python3 -m json.tool\n"
+   Flags per op: graphs_cli api-schema | python3 -m json.tool\n\
+  \     (embed, import and serve-status: graphs_cli <op> --help)\n"
 
-let fail err =
-  prerr_endline (Api.Error.to_string err);
-  exit (Api.Error.exit_code err.Api.Error.code)
+let fail_usage fmt =
+  Printf.ksprintf (fun m -> Api.Cli.fail (Api.Error.make Api.Error.Usage "%s" m)) fmt
 
-let fail_usage fmt = Printf.ksprintf (fun m -> fail (Api.Error.make Api.Error.Usage "%s" m)) fmt
-
-let ok_or_fail = function Ok v -> v | Error e -> fail e
+let ok_or_fail = function Ok v -> v | Error e -> Api.Cli.fail e
 
 let load_instance path =
   match Girg.Store.load ~path with
   | Ok inst -> inst
-  | Error e -> fail (Api.Error.make Api.Error.Io "cannot load %s: %s" path e)
+  | Error e -> Api.Cli.fail (Api.Error.make Api.Error.Io "cannot load %s: %s" path e)
 
 let with_manifest ~command ~seed obs_out f =
   ok_or_fail (Api.Cli.with_manifest ~command ~seed obs_out (fun () -> Ok (f ())))
@@ -110,7 +112,7 @@ let run_merge_shards (exec : Api.V1.exec_opts) ~spills =
   let output = required_output exec in
   with_manifest ~command:"merge-shards" ~seed:0 exec.obs_out @@ fun () ->
   match Girg.Shard.merge ~paths:spills () with
-  | Error e -> fail (Api.Error.make Api.Error.Io "merge failed: %s" e)
+  | Error e -> Api.Cli.fail (Api.Error.make Api.Error.Io "merge failed: %s" e)
   | Ok inst ->
       Girg.Store.save_binary ~path:output inst;
       Printf.printf
@@ -231,7 +233,7 @@ let run_mutate (exec : Api.V1.exec_opts) ~path ~ops ~seed =
   (match
      Girg.Mutate.validate ~n:(Sparse_graph.Graph.n inst.Girg.Instance.graph) ops
    with
-  | Error m -> fail (Api.Error.make Api.Error.Bad_request "%s" m)
+  | Error m -> Api.Cli.fail (Api.Error.make Api.Error.Bad_request "%s" m)
   | Ok () -> ());
   let mutated = Girg.Mutate.apply ~seed inst ops in
   (* The store formats carry a plain CSR, so compact the row table before
@@ -297,38 +299,7 @@ let run_v1 args =
 
 (* ------------------------------------------------------------------ *)
 (* embed / import: not part of the serving API (they produce files,
-   not replies), so they keep a local flag parser with the same
-   conventions.                                                        *)
-
-let scan_flags ~op ~known args =
-  let seen = Hashtbl.create 8 in
-  let positional = ref None in
-  let rec go = function
-    | [] -> ()
-    | tok :: rest when String.length tok > 1 && tok.[0] = '-' -> (
-        match List.assoc_opt tok known with
-        | None -> fail (Api.Error.make Api.Error.Bad_request "unknown flag %S for %s" tok op)
-        | Some canonical -> (
-            match rest with
-            | v :: rest ->
-                Hashtbl.replace seen canonical v;
-                go rest
-            | [] -> fail (Api.Error.make Api.Error.Bad_request "flag %s expects a value" tok)))
-    | tok :: rest ->
-        if !positional = None then positional := Some tok
-        else fail_usage "unexpected argument %S for %s" tok op;
-        go rest
-  in
-  go args;
-  (seen, !positional)
-
-let int_flag ~op seen flag ~default =
-  match Hashtbl.find_opt seen flag with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> i
-      | None -> fail (Api.Error.make Api.Error.Bad_request "flag %s of %s expects an integer" flag op))
+   not replies), so they parse with cmdliner terms of their own.       *)
 
 (* Save an inferred hyperbolic embedding as a 1-D GIRG instance (the
    form [route] loads); returns the vertex count. *)
@@ -349,22 +320,8 @@ let save_embedding ~out ~graph embedding =
     };
   n
 
-let embed_known =
-  [ ("-o", "--output"); ("--output", "--output");
-    ("--refinement-sweeps", "--refinement-sweeps"); ("--seed", "--seed");
-    ("--obs-out", "--obs-out") ]
-
-let run_embed args =
-  let seen, positional = scan_flags ~op:"embed" ~known:embed_known args in
-  let path = match positional with Some p -> p | None -> fail_usage "embed needs an instance file" in
-  let out =
-    match Hashtbl.find_opt seen "--output" with
-    | Some o -> o
-    | None -> fail_usage "embed requires -o FILE"
-  in
-  let sweeps = int_flag ~op:"embed" seen "--refinement-sweeps" ~default:0 in
-  let seed = int_flag ~op:"embed" seen "--seed" ~default:42 in
-  with_manifest ~command:"embed" ~seed (Hashtbl.find_opt seen "--obs-out") @@ fun () ->
+let run_embed path out sweeps seed obs_out =
+  with_manifest ~command:"embed" ~seed obs_out @@ fun () ->
   let inst = load_instance path in
   let graph = inst.Girg.Instance.graph in
   let rng = Prng.Rng.create ~seed in
@@ -375,28 +332,40 @@ let run_embed args =
      (route on it with `graphs_cli route %s -s .. -t ..`)\n"
     n out out
 
-let import_known =
-  [ ("-o", "--output"); ("--output", "--output"); ("--seed", "--seed");
-    ("--obs-out", "--obs-out") ]
-
-let run_import args =
-  let seen, positional = scan_flags ~op:"import" ~known:import_known args in
-  let path = match positional with Some p -> p | None -> fail_usage "import needs an edge-list file" in
-  let out =
-    match Hashtbl.find_opt seen "--output" with
-    | Some o -> o
-    | None -> fail_usage "import requires -o FILE"
-  in
-  let seed = int_flag ~op:"import" seen "--seed" ~default:42 in
-  with_manifest ~command:"import" ~seed (Hashtbl.find_opt seen "--obs-out") @@ fun () ->
+let run_import path out seed obs_out =
+  with_manifest ~command:"import" ~seed obs_out @@ fun () ->
   match Sparse_graph.Io.load ~path with
-  | Error e -> fail (Api.Error.make Api.Error.Io "cannot load %s: %s" path e)
+  | Error e -> Api.Cli.fail (Api.Error.make Api.Error.Io "cannot load %s: %s" path e)
   | Ok graph ->
       let rng = Prng.Rng.create ~seed in
       let embedding = Hyperbolic.Embed.infer ~rng ~graph () in
       let n = save_embedding ~out ~graph embedding in
       Printf.printf "imported %d vertices / %d edges and embedded them; wrote %s\n" n
         (Sparse_graph.Graph.m graph) out
+
+let input_file ~doc = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+
+let output_file =
+  Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
+         ~doc:"Where to write the embedded instance.")
+
+let embed_cmd =
+  let sweeps =
+    Arg.(value & opt int 0 & info [ "refinement-sweeps" ] ~docv:"N"
+           ~doc:"Refinement sweeps after the initial embedding.")
+  in
+  Cmd.v
+    (Cmd.info "embed" ~doc:"Re-embed a saved instance from its connectivity alone.")
+    Term.(
+      const run_embed $ input_file ~doc:"Saved instance (Girg.Store format)."
+      $ output_file $ sweeps $ Api.Cli.seed $ Api.Cli.obs_out)
+
+let import_cmd =
+  Cmd.v
+    (Cmd.info "import" ~doc:"Embed an edge list into a routable instance.")
+    Term.(
+      const run_import $ input_file ~doc:"Edge list (Sparse_graph.Io format)."
+      $ output_file $ Api.Cli.seed $ Api.Cli.obs_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve-status: dial a running daemon (main or admin port), send one
@@ -448,37 +417,12 @@ let render_server_stats (s : Api.V1.server_stats_reply) =
       live
   end
 
-let run_serve_status args =
-  let host = ref "127.0.0.1" and port = ref None and prometheus = ref false in
-  let rec go = function
-    | [] -> ()
-    | "--host" :: v :: rest ->
-        host := v;
-        go rest
-    | "--port" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some p -> port := Some p
-        | None -> fail_usage "--port expects an integer, got %S" v);
-        go rest
-    | "--prometheus" :: rest ->
-        prometheus := true;
-        go rest
-    | tok :: _ ->
-        fail_usage
-          "unknown argument %S for serve-status (flags: --host ADDR --port P [--prometheus])"
-          tok
-  in
-  go args;
-  let port =
-    match !port with
-    | Some p -> p
-    | None -> fail_usage "serve-status requires --port P (the daemon's main or admin port)"
-  in
+let run_serve_status host port prometheus =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string !host, port))
+  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
    with Unix.Unix_error (e, _, _) ->
-     fail
-       (Api.Error.make Api.Error.Io "cannot connect to %s:%d: %s" !host port
+     Api.Cli.fail
+       (Api.Error.make Api.Error.Io "cannot connect to %s:%d: %s" host port
           (Unix.error_message e)));
   let line =
     send_and_read_line fd
@@ -486,14 +430,38 @@ let run_serve_status args =
   in
   (try Unix.close fd with Unix.Unix_error _ -> ());
   if line = "" then
-    fail (Api.Error.make Api.Error.Io "daemon at %s:%d closed without replying" !host port);
+    Api.Cli.fail (Api.Error.make Api.Error.Io "daemon at %s:%d closed without replying" host port);
   match Api.V1.reply_of_line line with
-  | Error e -> fail e
-  | Ok { Api.V1.response = Api.V1.Failed e; _ } -> fail e
+  | Error e -> Api.Cli.fail e
+  | Ok { Api.V1.response = Api.V1.Failed e; _ } -> Api.Cli.fail e
   | Ok { Api.V1.response = Api.V1.Server_stats_reply s; _ } ->
-      if !prometheus then print_string s.Api.V1.prometheus
+      if prometheus then print_string s.Api.V1.prometheus
       else render_server_stats s
-  | Ok _ -> fail (Api.Error.make Api.Error.Bad_request "unexpected reply kind from daemon")
+  | Ok _ -> Api.Cli.fail (Api.Error.make Api.Error.Bad_request "unexpected reply kind from daemon")
+
+let serve_status_cmd =
+  let host =
+    Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Daemon address.")
+  in
+  let port =
+    Arg.(required & opt (some int) None & info [ "port" ] ~docv:"P"
+           ~doc:"The daemon's main or admin port.")
+  in
+  let prometheus =
+    Arg.(value & flag & info [ "prometheus" ] ~doc:"Print the Prometheus text exposition.")
+  in
+  Cmd.v
+    (Cmd.info "serve-status" ~doc:"Live telemetry of a running daemon.")
+    Term.(const run_serve_status $ host $ port $ prometheus)
+
+(* A parse error exits 2, the taxonomy's code for command-line misuse.
+   Exceptions are not caught, so they end the process as they would
+   without cmdliner. *)
+let run_local argv =
+  let cmds = Cmd.group (Cmd.info "graphs_cli") [ embed_cmd; import_cmd; serve_status_cmd ] in
+  match Cmd.eval_value ~catch:false ~argv cmds with
+  | Ok (`Ok () | `Help | `Version) -> exit 0
+  | Error (`Parse | `Term | `Exn) -> exit (Api.Error.exit_code Api.Error.Usage)
 
 (* ------------------------------------------------------------------ *)
 
@@ -505,7 +473,5 @@ let () =
   | [ "api-schema" ] ->
       print_endline (Obs.Export.json_to_string (Api.V1.schema_json ()));
       exit 0
-  | "embed" :: rest -> run_embed rest
-  | "import" :: rest -> run_import rest
-  | "serve-status" :: rest -> run_serve_status rest
+  | ("embed" | "import" | "serve-status") :: _ -> run_local Sys.argv
   | args -> run_v1 args

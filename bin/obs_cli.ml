@@ -23,12 +23,10 @@
 
 open Cmdliner
 
-let fail err =
-  prerr_endline (Api.Error.to_string err);
-  exit (Api.Error.exit_code err.Api.Error.code)
+let fail_usage fmt =
+  Printf.ksprintf (fun m -> Api.Cli.fail (Api.Error.make Api.Error.Usage "%s" m)) fmt
 
-let fail_usage fmt = Printf.ksprintf (fun m -> fail (Api.Error.make Api.Error.Usage "%s" m)) fmt
-let fail_io fmt = Printf.ksprintf (fun m -> fail (Api.Error.make Api.Error.Io "%s" m)) fmt
+let fail_io fmt = Printf.ksprintf (fun m -> Api.Cli.fail (Api.Error.make Api.Error.Io "%s" m)) fmt
 
 let with_input file f =
   match In_channel.with_open_text file f with
@@ -75,7 +73,7 @@ let select_trace ~trace files =
   in
   match Obs.Profile.merge ~trace_id:tid records with
   | Ok root -> root
-  | Error e -> fail (Api.Error.make Api.Error.Bad_request "%s" e)
+  | Error e -> Api.Cli.fail (Api.Error.make Api.Error.Bad_request "%s" e)
 
 let files_arg =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE"

@@ -152,8 +152,7 @@ let run host port workers queue_cap registry_cap max_batch admin_port access_log
       | Error e ->
           Server.Daemon.stop t;
           Server.Daemon.serve t;
-          prerr_endline (Api.Error.to_string e);
-          exit (Api.Error.exit_code e.code)
+          Api.Cli.fail e
       | Ok () ->
           let drain _ = Server.Daemon.stop t in
           Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);

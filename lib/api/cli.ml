@@ -1,5 +1,9 @@
 open Cmdliner
 
+let fail err =
+  prerr_endline (Error.to_string err);
+  exit (Error.exit_code err.Error.code)
+
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 

@@ -1,8 +1,12 @@
-(** Shared cmdliner terms for the executables that keep a cmdliner
-    front-end ([experiments_cli], [serve]).  One definition of the
-    seed / jobs / obs-out flags; the validation is {!V1}'s, so the
-    hand-rolled [graphs_cli] parser and the cmdliner binaries reject
-    the same inputs with the same messages. *)
+(** Shared pieces of the command-line front ends: one error exit, and
+    one cmdliner definition of the seed / jobs / obs-out flags, whose
+    validation is {!V1}'s, so the API parser ({!V1.of_args}) and the
+    cmdliner commands of [graphs_cli], [experiments_cli] and [serve]
+    reject the same inputs with the same messages. *)
+
+val fail : Error.t -> 'a
+(** Print {!Error.to_string} on stderr and exit with {!Error.exit_code}:
+    the one fatal-error path of every binary. *)
 
 val seed : int Cmdliner.Term.t
 (** [--seed N], default 42. *)

@@ -8,22 +8,36 @@ type msg = Explore of fields | Backtrack of fields
    transitions (the paper's step-free "resume" moves) before the token
    leaves the node in a single send. *)
 
+(* A node's protocol state: a constant number of words. *)
+type node = {
+  mutable phi : float;
+  mutable parent : int;
+  mutable started : bool;
+  mutable prev_phi : float;
+}
+
 let run ~inst ~source ~target ?latency ?(max_deliveries = 10_000_000) () =
-  let views = Local_view.of_instance inst in
-  let n = Array.length views in
+  let n = Sparse_graph.Graph.n inst.Girg.Instance.graph in
   if source < 0 || source >= n || target < 0 || target >= n then
     invalid_arg "Dist_dfs.run: endpoint out of range";
-  (* Per-node protocol state: a constant number of words each. *)
-  let v_phi = Array.make n nan in
-  let v_parent = Array.make n (-1) in
-  let v_started = Array.make n false in
-  let v_prev_phi = Array.make n neg_infinity in
+  let config = Local_view.config inst in
+  (* Per-node protocol state, held only for the nodes the token visits. *)
+  let nodes = Hashtbl.create 16 in
+  let node v =
+    match Hashtbl.find_opt nodes v with
+    | Some s -> s
+    | None ->
+        let s = { phi = nan; parent = -1; started = false; prev_phi = neg_infinity } in
+        Hashtbl.add nodes v s;
+        s
+  in
   (* Observer state. *)
   let walk = ref [] in
   let status = ref Greedy_routing.Outcome.Cutoff in
   let handler (api : msg Sim.api) ~src initial_msg =
     let v = api.Sim.self in
-    let view = views.(v) in
+    let st = node v in
+    let view = Local_view.view config inst v in
     walk := v :: !walk;
     let phi_of addr target = Local_view.phi view addr ~target in
     let phi_self target = phi_of view.Local_view.self target in
@@ -66,23 +80,23 @@ let run ~inst ~source ~target ?latency ?(max_deliveries = 10_000_000) () =
         status := Greedy_routing.Outcome.Delivered;
         api.Sim.halt ()
       end
-      else if v_phi.(v) = f.m_phi then backtrack_to came_from ~came_from f
+      else if st.phi = f.m_phi then backtrack_to came_from ~came_from f
       else begin
         let pv = phi_self f.target in
         let f =
           if pv > f.best_seen then begin
             let f = { f with best_seen = pv } in
             if exists_geq f.target pv then begin
-              v_started.(v) <- true;
-              v_prev_phi.(v) <- f.m_phi;
+              st.started <- true;
+              st.prev_phi <- f.m_phi;
               { f with m_phi = pv }
             end
             else f
           end
           else f
         in
-        v_phi.(v) <- f.m_phi;
-        v_parent.(v) <- came_from;
+        st.phi <- f.m_phi;
+        st.parent <- came_from;
         match best_neighbor f.target with
         | Some (u, pu) when pu >= f.m_phi -> api.Sim.send ~dst:u.Local_view.id (Explore f)
         | Some _ | None -> backtrack_to came_from ~came_from f
@@ -91,27 +105,27 @@ let run ~inst ~source ~target ?latency ?(max_deliveries = 10_000_000) () =
       if dst = v then backtrack ~came_from f else api.Sim.send ~dst (Backtrack f)
     and backtrack ~came_from f =
       let bound = phi_neighbor came_from f.target in
-      match best_child f.target ~parent:v_parent.(v) ~bound ~m_phi:f.m_phi with
+      match best_child f.target ~parent:st.parent ~bound ~m_phi:f.m_phi with
       | Some u -> api.Sim.send ~dst:u.Local_view.id (Explore f)
       | None ->
-          if v_started.(v) then begin
-            v_started.(v) <- false;
-            let f = { f with m_phi = v_prev_phi.(v) } in
-            v_phi.(v) <- v_prev_phi.(v);
+          if st.started then begin
+            st.started <- false;
+            let f = { f with m_phi = st.prev_phi } in
+            st.phi <- st.prev_phi;
             (match best_neighbor f.target with
             | Some (u, pu) when pu >= f.m_phi -> api.Sim.send ~dst:u.Local_view.id (Explore f)
             | Some _ | None ->
-                if v_parent.(v) = v then begin
+                if st.parent = v then begin
                   status := Greedy_routing.Outcome.Exhausted;
                   api.Sim.halt ()
                 end
-                else backtrack_to v_parent.(v) ~came_from f)
+                else backtrack_to st.parent ~came_from f)
           end
-          else if v_parent.(v) = v then begin
+          else if st.parent = v then begin
             status := Greedy_routing.Outcome.Exhausted;
             api.Sim.halt ()
           end
-          else backtrack_to v_parent.(v) ~came_from f
+          else backtrack_to st.parent ~came_from f
     in
     match initial_msg with
     | Explore f -> explore ~came_from:src f
@@ -123,8 +137,9 @@ let run ~inst ~source ~target ?latency ?(max_deliveries = 10_000_000) () =
       ~handler ()
   in
   (* ROUTING initialisation (line 5 of the pseudocode). *)
-  let target_addr = views.(target).Local_view.self in
-  v_phi.(source) <- Local_view.phi views.(source) views.(source).Local_view.self ~target:target_addr;
+  let target_addr = Local_view.address inst target in
+  let src_view = Local_view.view config inst source in
+  (node source).phi <- Local_view.phi src_view src_view.Local_view.self ~target:target_addr;
   Sim.inject sim ~dst:source
     (Explore { m_phi = neg_infinity; best_seen = neg_infinity; target = target_addr });
   let stats = Sim.run ~max_deliveries sim in

@@ -6,7 +6,9 @@
     sender of the message — the last visited vertex), and every node stores
     a constant number of values (its Φ, a parent pointer, a resume flag and
     the previous Φ).  Each handler invocation uses only the node's
-    {!Local_view.t} plus the message.
+    {!Local_view.t} plus the message.  Views are built and state is kept
+    only for the nodes the token reaches, so a route allocates in
+    proportion to the degrees along its walk, not to n.
 
     The walk, step count and outcome are {e identical} to the centralised
     {!Greedy_routing.Patch_dfs.route} — property-tested equivalence. *)

@@ -17,4 +17,6 @@ val run :
   Greedy_routing.Outcome.t * Sim.stats
 (** Simulate one routing.  [Outcome.steps] equals the number of link
     traversals; [stats.final_time] is the arrival time under the given link
-    latencies (default 1.0 per link). *)
+    latencies (default 1.0 per link).  A node's view is built when the
+    packet reaches it, so a route allocates in proportion to the degrees
+    along its walk, not to n. *)

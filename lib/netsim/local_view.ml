@@ -1,37 +1,34 @@
 type address = { id : int; weight : float; position : Geometry.Torus.point }
 
-type config = { dim : int; denom : float }
+type config = { dim : int; norm : Geometry.Torus.norm; denom : float }
 
 type t = { config : config; self : address; neighbors : address array }
 
-let of_instance (inst : Girg.Instance.t) =
+let config (inst : Girg.Instance.t) =
   let p = inst.params in
-  let config =
-    {
-      dim = p.Girg.Params.dim;
-      denom = p.Girg.Params.w_min *. float_of_int p.Girg.Params.n;
-    }
-  in
-  (* One address per vertex, built once (with its point copied out of the
-     packed store) and shared by every view that names it. *)
-  let addresses =
-    Array.init (Array.length inst.weights) (fun v ->
-        { id = v; weight = inst.weights.(v); position = Geometry.Torus.Packed.get inst.packed v })
-  in
-  Array.map
-    (fun self ->
-      {
-        config;
-        self;
-        neighbors =
-          Array.map (Array.get addresses) (Sparse_graph.Graph.neighbors inst.graph self.id);
-      })
-    addresses
+  {
+    dim = p.Girg.Params.dim;
+    norm = p.Girg.Params.norm;
+    denom = p.Girg.Params.w_min *. float_of_int p.Girg.Params.n;
+  }
 
+let address (inst : Girg.Instance.t) v =
+  { id = v; weight = inst.weights.(v); position = Geometry.Torus.Packed.get inst.packed v }
+
+let view config (inst : Girg.Instance.t) v =
+  {
+    config;
+    self = address inst v;
+    neighbors = Array.map (address inst) (Sparse_graph.Graph.neighbors inst.graph v);
+  }
+
+(* The operations of Objective.girg_phi in its order: [Torus.dist_fn]
+   computes the same floats as the packed kernels, and [dist ** d] is
+   spelled out as products for d <= 3. *)
 let phi view addr ~target =
   if addr.id = target.id then infinity
   else begin
-    let dist = Geometry.Torus.dist_linf addr.position target.position in
+    let dist = Geometry.Torus.dist_fn view.config.norm addr.position target.position in
     let dist_d =
       match view.config.dim with
       | 1 -> dist

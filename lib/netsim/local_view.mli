@@ -9,6 +9,7 @@ type address = { id : int; weight : float; position : Geometry.Torus.point }
 
 type config = {
   dim : int;
+  norm : Geometry.Torus.norm;  (** the instance's torus norm *)
   denom : float;  (** the model constant [w_min * n] in the objective phi *)
 }
 (** Protocol configuration: global {e constants} of the model (known to
@@ -21,13 +22,22 @@ type t = {
   neighbors : address array;  (** ascending by id *)
 }
 
-val of_instance : Girg.Instance.t -> t array
-(** One view per vertex. *)
+val config : Girg.Instance.t -> config
+(** The instance's model constants. *)
+
+val address : Girg.Instance.t -> int -> address
+(** Vertex [v]'s address, its position copied out of the packed store. *)
+
+val view : config -> Girg.Instance.t -> int -> t
+(** Vertex [v]'s view, built on demand: O(deg v) time and allocation, so
+    a protocol that builds the views of the nodes a message reaches costs
+    what the walk touches, not O(n). *)
 
 val phi : t -> address -> target:address -> float
 (** The objective [phi] of the given address towards [target], computed
     from constants every node knows; [infinity] when the address {e is} the
-    target. *)
+    target.  The same floats as {!Greedy_routing.Objective.girg_phi} under
+    every norm and dimension. *)
 
 val best_neighbor : t -> target:address -> (address * float) option
 (** The neighbour maximising [phi] towards the target (ties to the smaller

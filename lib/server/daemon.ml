@@ -779,10 +779,16 @@ let process t (job : job) =
             (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
             env.V1.deadline_ms
         in
-        (* GC deltas around the compute stage; the reads only happen
-           with obs on, preserving the zero-GC-read contract of
-           SMALLWORLD_OBS=0. *)
-        let gc0 = if Obs.Metrics.enabled then Some (Gc.quick_stat ()) else None in
+        (* Allocation and GC deltas around the compute stage, read on
+           this worker domain; the reads only happen with obs on,
+           preserving the zero-GC-read contract of SMALLWORLD_OBS=0. *)
+        let gc0 =
+          if Obs.Metrics.enabled then begin
+            let g0 = Gc.quick_stat () in
+            Some (g0, Obs.Span.allocated_bytes ())
+          end
+          else None
+        in
         let handle () = Exec.handle t.ex ?deadline env.request in
         let response, traced =
           match env.trace with
@@ -795,11 +801,10 @@ let process t (job : job) =
           | Some _ | None -> (handle (), None)
         in
         Option.iter
-          (fun (g0 : Gc.stat) ->
+          (fun ((g0 : Gc.stat), a0) ->
+            let a1 = Obs.Span.allocated_bytes () in
             let g1 = Gc.quick_stat () in
-            Exec.observe_gc t.ex
-              ~minor_words:(g1.minor_words -. g0.minor_words)
-              ~major_words:(g1.major_words -. g0.major_words)
+            Exec.observe_gc t.ex ~alloc_bytes:(a1 -. a0)
               ~collections:
                 (g1.minor_collections - g0.minor_collections
                 + (g1.major_collections - g0.major_collections)))

@@ -38,10 +38,9 @@ type t = {
   h_write : Obs.Metrics.histogram;
   h_mutex_wait : Obs.Metrics.histogram;
   h_ops : (string * Obs.Metrics.histogram) list;
-  (* Per-request GC deltas around the compute stage (Gc.quick_stat
-     diffs taken by the daemon, obs-on only). *)
-  h_gc_minor : Obs.Metrics.histogram;
-  h_gc_major : Obs.Metrics.histogram;
+  (* Per-request allocation and collections around the compute stage
+     (taken by the daemon, obs-on only). *)
+  h_gc_alloc : Obs.Metrics.histogram;
   h_gc_coll : Obs.Metrics.histogram;
 }
 
@@ -73,8 +72,7 @@ let create ?(registry_cap = 8) ?(max_batch = 4096) ?(cache_cap = 4096) () =
         (fun op ->
           (op, Obs.Metrics.histogram ("server.latency." ^ metric_op_suffix op)))
         all_ops;
-    h_gc_minor = Obs.Metrics.histogram "server.gc.compute.minor_words";
-    h_gc_major = Obs.Metrics.histogram "server.gc.compute.major_words";
+    h_gc_alloc = Obs.Metrics.histogram "server.gc.compute.alloc_bytes";
     h_gc_coll = Obs.Metrics.histogram "server.gc.compute.collections";
   }
 
@@ -110,13 +108,12 @@ let observe_stages t ?op ~compute ~render ~write () =
       | Some h -> Obs.Metrics.observe h (compute +. render +. write)
       | None -> ())
 
-(* Stage-labelled GC deltas for one request's compute stage.  The
-   daemon only calls this when [Obs.Metrics.enabled] — the Gc reads
-   themselves live behind that guard, so SMALLWORLD_OBS=0 keeps its
+(* Stage-labelled allocation and GC deltas for one request's compute
+   stage.  The daemon only calls this when [Obs.Metrics.enabled] — the
+   reads themselves live behind that guard, so SMALLWORLD_OBS=0 keeps its
    zero-GC-read contract. *)
-let observe_gc t ~minor_words ~major_words ~collections =
-  Obs.Metrics.observe t.h_gc_minor minor_words;
-  Obs.Metrics.observe t.h_gc_major major_words;
+let observe_gc t ~alloc_bytes ~collections =
+  Obs.Metrics.observe t.h_gc_alloc alloc_bytes;
   Obs.Metrics.observe t.h_gc_coll (float_of_int collections)
 
 (* The one read path of the server's telemetry: the registry's

@@ -96,13 +96,14 @@ val observe_stages :
     [server.stage.compute] / [.render] / [.write]; when [op] names a
     known wire op, the total also lands in [server.latency.<op>]. *)
 
-val observe_gc : t -> minor_words:float -> major_words:float -> collections:int -> unit
-(** Record one request's GC deltas around the compute stage
-    ([Gc.quick_stat] differences) into the stage-labelled
-    [server.gc.compute.minor_words] / [.major_words] / [.collections]
-    histograms.  Callers must gate the [Gc.quick_stat] reads (and this
-    call) behind [Obs.Metrics.enabled]: under [SMALLWORLD_OBS=0] the
-    serving path performs no GC introspection at all. *)
+val observe_gc : t -> alloc_bytes:float -> collections:int -> unit
+(** Record one request's compute stage into the stage-labelled
+    [server.gc.compute.alloc_bytes] histogram (the exact
+    {!Obs.Span.allocated_bytes} difference on the worker domain) and
+    [server.gc.compute.collections] (minor plus major collections, from
+    [Gc.quick_stat]).  Callers must gate the reads (and this call)
+    behind [Obs.Metrics.enabled]: under [SMALLWORLD_OBS=0] the serving
+    path performs no GC introspection at all. *)
 
 val set_queue_depth_source : t -> (unit -> int) -> unit
 (** Install the transport's live queue-depth reader (read for the

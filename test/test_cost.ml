@@ -73,6 +73,19 @@ let rows =
       pair = on_ring;
       run = route Protocol.Gravity_pressure;
     };
+    {
+      op = "distributed greedy route";
+      claim = "O(path degrees)";
+      pair = on_ring;
+      run =
+        (fun inst _ ~source ~target -> ignore (Netsim.Dist_greedy.run ~inst ~source ~target ()));
+    };
+    {
+      op = "distributed phi-dfs route";
+      claim = "O(walk degrees)";
+      pair = on_ring;
+      run = (fun inst _ ~source ~target -> ignore (Netsim.Dist_dfs.run ~inst ~source ~target ()));
+    };
     { op = "Bfs.distance"; claim = "O(visited)"; pair = on_ring; run = bfs_distance };
     {
       op = "Bfs.distance, disconnected pair";

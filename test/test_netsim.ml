@@ -82,23 +82,24 @@ let test_sim_max_deliveries () =
 
 let test_local_view_matches_graph () =
   let inst = Test_greedy.girg_instance ~seed:2110 ~n:800 ~c:0.2 () in
-  let views = Netsim.Local_view.of_instance inst in
-  Array.iteri
-    (fun v view ->
-      Alcotest.(check int) "self id" v view.Netsim.Local_view.self.Netsim.Local_view.id;
-      Alcotest.(check (array int)) "neighbour ids"
-        (Sparse_graph.Graph.neighbors inst.graph v)
-        (Array.map (fun a -> a.Netsim.Local_view.id) view.Netsim.Local_view.neighbors))
-    views
+  let config = Netsim.Local_view.config inst in
+  for v = 0 to Sparse_graph.Graph.n inst.graph - 1 do
+    let view = Netsim.Local_view.view config inst v in
+    Alcotest.(check int) "self id" v view.Netsim.Local_view.self.Netsim.Local_view.id;
+    Alcotest.(check (array int)) "neighbour ids"
+      (Sparse_graph.Graph.neighbors inst.graph v)
+      (Array.map (fun a -> a.Netsim.Local_view.id) view.Netsim.Local_view.neighbors)
+  done
 
 let test_local_phi_matches_objective () =
   let inst = Test_greedy.girg_instance ~seed:2111 ~n:500 ~c:0.2 () in
-  let views = Netsim.Local_view.of_instance inst in
+  let config = Netsim.Local_view.config inst in
   let target = 17 in
   let objective = Greedy_routing.Objective.girg_phi inst ~target in
-  let tgt = views.(target).Netsim.Local_view.self in
+  let tgt = Netsim.Local_view.address inst target in
   for v = 0 to Sparse_graph.Graph.n inst.graph - 1 do
-    let local = Netsim.Local_view.phi views.(v) views.(v).Netsim.Local_view.self ~target:tgt in
+    let view = Netsim.Local_view.view config inst v in
+    let local = Netsim.Local_view.phi view view.Netsim.Local_view.self ~target:tgt in
     let central = objective.Greedy_routing.Objective.score v in
     if Float.is_finite central then begin
       if abs_float (local -. central) > 1e-12 *. Float.max 1.0 (abs_float central) then
@@ -139,6 +140,35 @@ let test_dist_dfs_equivalence () =
     Alcotest.(check (list int)) "same walk" central.Greedy_routing.Outcome.walk
       distributed.Greedy_routing.Outcome.walk
   done
+
+(* Both distributed routers against their centralised counterparts under
+   every norm, in two and three dimensions: a node's phi must be the
+   instance's, not the L-infinity default's. *)
+let test_dist_equivalence_per_norm () =
+  List.iter
+    (fun (norm, dim) ->
+      let params = Girg.Params.make ~dim ~norm ~beta:2.5 ~c:0.3 ~n:2000 () in
+      let inst = Girg.Instance.generate ~rng:(Prng.Rng.create ~seed:2115) params in
+      let rng = Prng.Rng.create ~seed:8 in
+      for _ = 1 to 40 do
+        let s, t = Prng.Dist.sample_distinct_pair rng ~n:(Sparse_graph.Graph.n inst.graph) in
+        let objective = Greedy_routing.Objective.girg_phi inst ~target:t in
+        let label = Printf.sprintf "%s d=%d %d->%d" (Girg.Params.norm_to_string norm) dim s t in
+        let same what (central : Greedy_routing.Outcome.t)
+            (distributed : Greedy_routing.Outcome.t) =
+          Alcotest.(check (list int)) (label ^ " " ^ what ^ " walk") central.walk distributed.walk;
+          Alcotest.(check bool) (label ^ " " ^ what ^ " status") true
+            (central.status = distributed.status);
+          Alcotest.(check int) (label ^ " " ^ what ^ " steps") central.steps distributed.steps
+        in
+        same "greedy"
+          (Greedy_routing.Greedy.route ~graph:inst.graph ~objective ~source:s ())
+          (fst (Netsim.Dist_greedy.run ~inst ~source:s ~target:t ()));
+        same "phi-dfs"
+          (Greedy_routing.Patch_dfs.route ~graph:inst.graph ~objective ~source:s ())
+          (fst (Netsim.Dist_dfs.run ~inst ~source:s ~target:t ()))
+      done)
+    Geometry.Torus.[ (Linf, 2); (L2, 2); (L1, 2); (Linf, 3); (L2, 3); (L1, 3) ]
 
 let test_dist_dfs_equivalence_random_graphs () =
   (* Tiny adversarial graphs, including cross-component pairs. *)
@@ -388,6 +418,8 @@ let suite =
     Alcotest.test_case "distributed phi-dfs = centralised" `Quick test_dist_dfs_equivalence;
     Alcotest.test_case "phi-dfs equivalence on random graphs" `Quick
       test_dist_dfs_equivalence_random_graphs;
+    Alcotest.test_case "distributed = centralised under every norm" `Quick
+      test_dist_equivalence_per_norm;
     Alcotest.test_case "latency accumulates over hops" `Quick test_dist_greedy_latency_is_hop_sum;
     Alcotest.test_case "causal: ping-pong chain" `Quick test_causal_ping_pong_chain;
     Alcotest.test_case "causal: fan-out tree" `Quick test_causal_fanout_tree;

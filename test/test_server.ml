@@ -1920,11 +1920,14 @@ let test_daemon_trace_roundtrip () =
                   (List.mem "client.request" names && List.mem "server.request" names
                  && List.mem "stage.compute" names)
             | _ -> Alcotest.fail "chrome trace has no traceEvents array"));
-        (* Per-request GC deltas landed in the stage-labelled histograms. *)
-        (match Obs.Metrics.find_value Obs.Metrics.default "server.gc.compute.minor_words" with
+        (* Per-request allocation landed in the stage-labelled histogram,
+           counted exactly: the sample request's compute allocates. *)
+        (match Obs.Metrics.find_value Obs.Metrics.default "server.gc.compute.alloc_bytes" with
         | Some (Obs.Metrics.Histogram_v snap) ->
-            Alcotest.(check bool) "gc histogram populated" true (snap.Obs.Metrics.count >= 1)
-        | _ -> Alcotest.fail "server.gc.compute.minor_words histogram missing");
+            Alcotest.(check bool) "alloc histogram populated" true (snap.Obs.Metrics.count >= 1);
+            Alcotest.(check bool) "alloc histogram counts the compute's bytes" true
+              (snap.Obs.Metrics.sum > 0.0)
+        | _ -> Alcotest.fail "server.gc.compute.alloc_bytes histogram missing");
         (* The drain dumped a decodable smallworld.events.v1 stream. *)
         Alcotest.(check bool) "event dump non-empty" true (event_lines <> []);
         List.iter
