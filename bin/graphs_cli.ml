@@ -239,10 +239,7 @@ let run_mutate (exec : Api.V1.exec_opts) ~path ~ops ~seed =
   (* The store formats carry a plain CSR, so compact the row table before
      writing; traversal is identical by the compact contract. *)
   let folded =
-    {
-      mutated with
-      Girg.Instance.graph = Sparse_graph.Graph.compact mutated.Girg.Instance.graph;
-    }
+    Girg.Instance.with_graph mutated (Sparse_graph.Graph.compact mutated.Girg.Instance.graph)
   in
   Girg.Store.save ~path:output folded;
   (* Counted before compaction: compact makes departed vertices live. *)
@@ -312,12 +309,8 @@ let save_embedding ~out ~graph embedding =
       ~alpha:Girg.Params.Infinite ~poisson_count:false ~n ()
   in
   Girg.Store.save ~path:out
-    {
-      Girg.Instance.params = girg_params;
-      weights = h.Hyperbolic.Hrg.weights;
-      packed = h.Hyperbolic.Hrg.packed;
-      graph;
-    };
+    (Girg.Instance.make ~params:girg_params ~weights:h.Hyperbolic.Hrg.weights
+       ~packed:h.Hyperbolic.Hrg.packed ~graph);
   n
 
 let run_embed path out sweeps seed obs_out =

@@ -116,12 +116,7 @@ let instantiate ~model ~seed =
              else Girg.Params.Finite (1.0 /. p.temperature))
           ~poisson_count:false ~n:p.n ()
       in
-      {
-        Girg.Instance.params = girg_params;
-        weights = h.weights;
-        packed = h.packed;
-        graph = h.graph;
-      }
+      Girg.Instance.make ~params:girg_params ~weights:h.weights ~packed:h.packed ~graph:h.graph
   | V1.Kleinberg p ->
       let lat = Kleinberg.Lattice.generate ~rng p in
       let side = p.side in
@@ -136,12 +131,8 @@ let instantiate ~model ~seed =
         Girg.Params.make ~dim:2 ~beta:2.5 ~w_min:1.0 ~alpha:Girg.Params.Infinite
           ~poisson_count:false ~n ()
       in
-      {
-        Girg.Instance.params = girg_params;
-        weights = Array.make n 1.0;
-        packed = Geometry.Torus.Packed.of_flat ~dim:2 centres;
-        graph = lat.graph;
-      }
+      Girg.Instance.make ~params:girg_params ~weights:(Array.make n 1.0)
+        ~packed:(Geometry.Torus.Packed.of_flat ~dim:2 centres) ~graph:lat.graph
 
 let instance_info ~name (inst : Girg.Instance.t) =
   {

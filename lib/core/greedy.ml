@@ -24,9 +24,9 @@ let route ~graph ~objective ~source ?max_steps () =
     else begin
       (* Best neighbour; ties resolved towards the smaller id for
          determinism.  The evaluation counter moves once per step, by the
-         degree scanned: worker domains share it. *)
+         scores the arg-max computed: worker domains share it. *)
       let best = Objective.argmax objective graph v ~skip:(-1) ~lo:neg_infinity in
-      Obs.Metrics.add c_evals (Sparse_graph.Graph.degree graph v);
+      Obs.Metrics.add c_evals (Objective.last_evals ());
       let best_score = if best >= 0 then phi best else neg_infinity in
       if best_score > score_v then begin
         if recording then

@@ -17,7 +17,8 @@ val route :
 
     Cost: each step is one {!Objective.argmax} over the current vertex's
     neighbours — allocation-free for an objective with a kernel on a base
-    CSR slice — and one [route.greedy.objective_evals] update by the
-    scanned degree.  Allocation is O(steps): the walk, and one event per
+    CSR slice, and below the degree on an indexed hub row — and one
+    [route.greedy.objective_evals] update by the scores it computed
+    ({!Objective.last_evals}).  Allocation is O(steps): the walk, and one event per
     hop while event recording is armed; it does not grow with degree or
     with n. *)

@@ -7,6 +7,7 @@ type kernel = {
   denom : float;
   norm : Geometry.Torus.norm;
   dim : int;
+  hubs : Girg.Hub_index.t;
 }
 
 type t = {
@@ -69,6 +70,7 @@ let girg_phi (inst : Girg.Instance.t) ~target =
           denom;
           norm = p.Girg.Params.norm;
           dim;
+          hubs = Girg.Instance.hub_index inst;
         }
   in
   { name = "phi"; target; score; kernel }
@@ -76,102 +78,205 @@ let girg_phi (inst : Girg.Instance.t) ~target =
 (* ------------------------------------------------------------------ *)
 (* Arg-max over a neighbourhood.
 
-   [scan] is the one loop body.  Each call in [search] passes [shape] as
-   a constant, so once [scan] is inlined its [match] folds away and
-   every (norm, dim) gets a straight-line loop over the CSR slice: phi
-   inlined, no closure, no boxed float.  Each branch repeats [girg_phi]'s
-   score operations in its order (see [Geometry.Torus.Packed]), so the
-   scores are bit-identical to the closure path's.  Ascending neighbour
-   order plus a strict [>] breaks ties towards the smaller id.  (L1 and
-   Linf agree in one dimension, so one loop serves both.) *)
+   [combine] turns per-dimension distances into a score; [phi] feeds it
+   a vertex's and [bound] a block's.  Each call in [search] passes
+   [shape] as a constant, so once [scan] and [scan_hub] are inlined their
+   [match]es fold away and every (norm, dim) gets straight-line loops:
+   phi inlined, no closure, no boxed float.  [combine] repeats
+   [girg_phi]'s score operations in its order (see
+   [Geometry.Torus.Packed]), so the scores are bit-identical to the
+   closure path's.  (L1 and Linf agree in one dimension, so one branch
+   serves both.)
+
+   [bound] is the same expression with each coordinate distance replaced
+   by the distance to the block's box ([Torus.interval_dist], never above
+   any member's computed distance) and the weight by the block's largest.
+   Every operation is correctly rounded and monotone in each argument, so
+   the computed bound is never below a member's computed score, and a
+   block whose member is the target reads 0 distance and bound infinity.
+
+   [scan] walks a CSR slice in ascending order with a strict [>], which
+   breaks ties towards the smaller id.  [scan_hub] walks a heavy row's
+   Morton-ordered blocks of [Girg.Hub_index]: it bounds every block, scans
+   the block of largest bound first, then every other block whose bound
+   is at least the best score so far and at least [lo].  Members arrive
+   out of id order, so a tie goes to the smaller id explicitly.  [below]
+   cannot prune a block: its bound says nothing of its smallest score. *)
 
 type shape = D1 | Linf2 | Linf3 | L2_1 | L2_2 | L2_3 | L1_2 | L1_3
 
+(* [w / (denom dist^d)] from the per-dimension distances. *)
+let[@inline] combine shape w denom d0 d1 d2 =
+  match shape with
+  | D1 -> w /. (denom *. d0)
+  | L2_1 -> w /. (denom *. sqrt (d0 *. d0))
+  | Linf2 ->
+      let dist = if d1 > d0 then d1 else d0 in
+      w /. (denom *. (dist *. dist))
+  | L2_2 ->
+      let dist = sqrt ((d0 *. d0) +. (d1 *. d1)) in
+      w /. (denom *. (dist *. dist))
+  | L1_2 ->
+      let dist = d0 +. d1 in
+      w /. (denom *. (dist *. dist))
+  | Linf3 ->
+      let m = if d1 > d0 then d1 else d0 in
+      let dist = if d2 > m then d2 else m in
+      w /. (denom *. (dist *. dist *. dist))
+  | L2_3 ->
+      let dist = sqrt ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2)) in
+      w /. (denom *. (dist *. dist *. dist))
+  | L1_3 ->
+      let dist = d0 +. d1 +. d2 in
+      w /. (denom *. (dist *. dist *. dist))
+
 let cd = Geometry.Torus.coord_dist
 
-let[@inline] scan shape k (targets : Graph.int_bigarray) first last ~target ~skip ~lo
+let[@inline] phi shape c w denom q0 q1 q2 u =
+  match shape with
+  | D1 | L2_1 -> combine shape w.(u) denom (cd c.(u) q0) 0.0 0.0
+  | Linf2 | L2_2 | L1_2 ->
+      let o = 2 * u in
+      combine shape w.(u) denom (cd c.(o) q0) (cd c.(o + 1) q1) 0.0
+  | Linf3 | L2_3 | L1_3 ->
+      let o = 3 * u in
+      combine shape w.(u) denom (cd c.(o) q0) (cd c.(o + 1) q1) (cd c.(o + 2) q2)
+
+(* Block [b]'s box spans [box.(o)] to [box.(o + 1)] in dimension [i],
+   [o = 2 (b dim + i)]. *)
+let[@inline] iv box q o = Geometry.Torus.interval_dist q ~lo:box.(o) ~hi:box.(o + 1)
+
+let[@inline] bound shape box wm denom q0 q1 q2 b =
+  match shape with
+  | D1 | L2_1 -> combine shape wm.(b) denom (iv box q0 (2 * b)) 0.0 0.0
+  | Linf2 | L2_2 | L1_2 ->
+      let o = 4 * b in
+      combine shape wm.(b) denom (iv box q0 o) (iv box q1 (o + 2)) 0.0
+  | Linf3 | L2_3 | L1_3 ->
+      let o = 6 * b in
+      combine shape wm.(b) denom (iv box q0 o) (iv box q1 (o + 2)) (iv box q2 (o + 4))
+
+(* What the calling domain's last arg-max did, and the buffer its block
+   bounds go in.  Writing it costs no allocation. *)
+type cost = { mutable evals : int; mutable bounds : int; mutable buf : float array }
+
+let cost_key = Domain.DLS.new_key (fun () -> { evals = 0; bounds = 0; buf = [||] })
+let last_evals () = (Domain.DLS.get cost_key).evals
+let last_bounds () = (Domain.DLS.get cost_key).bounds
+
+let[@inline] scan shape k cost (targets : Graph.int_bigarray) first last ~target ~skip ~lo
     ~bounded ~below =
   let c = k.coords and w = k.weights and denom = k.denom and q = k.point in
   let q0 = q.(0) in
   let q1 = if k.dim > 1 then q.(1) else 0.0 in
   let q2 = if k.dim > 2 then q.(2) else 0.0 in
-  let best = ref (-1) and best_s = ref neg_infinity in
+  let best = ref (-1) and best_s = ref neg_infinity and evals = ref 0 in
   for i = first to last - 1 do
     let u = targets.{i} in
     if u <> skip then begin
-      let s =
-        if u = target then infinity
-        else
-          match shape with
-          | D1 -> w.(u) /. (denom *. cd c.(u) q0)
-          | L2_1 ->
-              let d = cd c.(u) q0 in
-              w.(u) /. (denom *. sqrt (d *. d))
-          | Linf2 ->
-              let d0 = cd c.(2 * u) q0 and d1 = cd c.((2 * u) + 1) q1 in
-              let dist = if d1 > d0 then d1 else d0 in
-              w.(u) /. (denom *. (dist *. dist))
-          | L2_2 ->
-              let d0 = cd c.(2 * u) q0 and d1 = cd c.((2 * u) + 1) q1 in
-              let dist = sqrt ((d0 *. d0) +. (d1 *. d1)) in
-              w.(u) /. (denom *. (dist *. dist))
-          | L1_2 ->
-              let dist = cd c.(2 * u) q0 +. cd c.((2 * u) + 1) q1 in
-              w.(u) /. (denom *. (dist *. dist))
-          | Linf3 ->
-              let b = 3 * u in
-              let d0 = cd c.(b) q0 and d1 = cd c.(b + 1) q1 and d2 = cd c.(b + 2) q2 in
-              let m = if d1 > d0 then d1 else d0 in
-              let dist = if d2 > m then d2 else m in
-              w.(u) /. (denom *. (dist *. dist *. dist))
-          | L2_3 ->
-              let b = 3 * u in
-              let d0 = cd c.(b) q0 and d1 = cd c.(b + 1) q1 and d2 = cd c.(b + 2) q2 in
-              let dist = sqrt ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2)) in
-              w.(u) /. (denom *. (dist *. dist *. dist))
-          | L1_3 ->
-              let b = 3 * u in
-              let dist = cd c.(b) q0 +. cd c.(b + 1) q1 +. cd c.(b + 2) q2 in
-              w.(u) /. (denom *. (dist *. dist *. dist))
-      in
+      incr evals;
+      let s = if u = target then infinity else phi shape c w denom q0 q1 q2 u in
       if s >= lo && ((not bounded) || s < below) && s > !best_s then begin
         best := u;
         best_s := s
       end
     end
   done;
+  cost.evals <- !evals;
+  cost.bounds <- 0;
   !best
 
+let[@inline] scan_hub shape k cost (h : Girg.Hub_index.t) r ~target ~skip ~lo ~bounded ~below =
+  let c = k.coords and w = k.weights and denom = k.denom and q = k.point in
+  let q0 = q.(0) in
+  let q1 = if k.dim > 1 then q.(1) else 0.0 in
+  let q2 = if k.dim > 2 then q.(2) else 0.0 in
+  let box = h.boxes and wm = h.w_max and members = h.members and starts = h.block_start in
+  let b0 = h.row_blocks.(r) in
+  let nb = h.row_blocks.(r + 1) - b0 in
+  if Array.length cost.buf < nb then cost.buf <- Array.make h.max_blocks 0.0;
+  let bounds = cost.buf in
+  let top = ref (-1) and top_x = ref neg_infinity in
+  for j = 0 to nb - 1 do
+    let x = bound shape box wm denom q0 q1 q2 (b0 + j) in
+    bounds.(j) <- x;
+    if x > !top_x then begin
+      top := j;
+      top_x := x
+    end
+  done;
+  let best = ref (-1) and best_s = ref neg_infinity and evals = ref 0 in
+  (* Step -1 scans the top block; steps 0 .. nb-1 the rest, in row
+     order.  A [nan] bound prunes nothing. *)
+  for step = -1 to nb - 1 do
+    let j = if step < 0 then !top else step in
+    if j >= 0 && (step < 0 || j <> !top) && not (bounds.(j) < !best_s || bounds.(j) < lo) then
+      for i = starts.(b0 + j) to starts.(b0 + j + 1) - 1 do
+        let u = members.(i) in
+        if u <> skip then begin
+          incr evals;
+          let s = if u = target then infinity else phi shape c w denom q0 q1 q2 u in
+          if
+            s >= lo
+            && ((not bounded) || s < below)
+            && (s > !best_s || (s = !best_s && u < !best))
+          then begin
+            best := u;
+            best_s := s
+          end
+        end
+      done
+  done;
+  cost.evals <- !evals;
+  cost.bounds <- nb;
+  !best
+
+(* A heavy base row goes to the index when the kernel's index covers
+   this graph; every other base row is scanned. *)
+let[@inline] kernel_search shape k cost graph v ~target ~skip ~lo ~bounded ~below =
+  let offsets = Graph.base_offsets graph in
+  let a = offsets.{v} and b = offsets.{v + 1} in
+  let h = k.hubs in
+  let r =
+    if b - a > Girg.Hub_index.degree_threshold && Girg.Hub_index.covers h graph then
+      Girg.Hub_index.row h v
+    else -1
+  in
+  if r >= 0 then scan_hub shape k cost h r ~target ~skip ~lo ~bounded ~below
+  else scan shape k cost (Graph.base_targets graph) a b ~target ~skip ~lo ~bounded ~below
+
 let search t graph v ~skip ~lo ~bounded ~below =
+  let cost = Domain.DLS.get cost_key in
   match (t.kernel, Graph.row graph v) with
-  | Some k, Graph.Base ->
-      let offsets = Graph.base_offsets graph and tg = Graph.base_targets graph in
-      let a = offsets.{v} and b = offsets.{v + 1} and target = t.target in
-      begin
-        match (k.norm, k.dim) with
-        | (Geometry.Torus.Linf | L1), 1 -> scan D1 k tg a b ~target ~skip ~lo ~bounded ~below
-        | L2, 1 -> scan L2_1 k tg a b ~target ~skip ~lo ~bounded ~below
-        | Linf, 2 -> scan Linf2 k tg a b ~target ~skip ~lo ~bounded ~below
-        | L2, 2 -> scan L2_2 k tg a b ~target ~skip ~lo ~bounded ~below
-        | L1, 2 -> scan L1_2 k tg a b ~target ~skip ~lo ~bounded ~below
-        | Linf, 3 -> scan Linf3 k tg a b ~target ~skip ~lo ~bounded ~below
-        | L2, 3 -> scan L2_3 k tg a b ~target ~skip ~lo ~bounded ~below
-        | L1, 3 -> scan L1_3 k tg a b ~target ~skip ~lo ~bounded ~below
-        | _ -> invalid_arg "Objective.argmax: kernel dimension above 3"
-      end
+  | Some k, Graph.Base -> begin
+      let target = t.target in
+      match (k.norm, k.dim) with
+      | (Geometry.Torus.Linf | L1), 1 -> kernel_search D1 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | L2, 1 -> kernel_search L2_1 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | Linf, 2 -> kernel_search Linf2 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | L2, 2 -> kernel_search L2_2 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | L1, 2 -> kernel_search L1_2 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | Linf, 3 -> kernel_search Linf3 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | L2, 3 -> kernel_search L2_3 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | L1, 3 -> kernel_search L1_3 k cost graph v ~target ~skip ~lo ~bounded ~below
+      | _ -> invalid_arg "Objective.argmax: kernel dimension above 3"
+    end
   | _ ->
       (* The reference: the score closure over the merged adjacency.  It
          serves every objective without a kernel and every changed row. *)
       let phi = t.score in
-      let best = ref (-1) and best_s = ref neg_infinity in
+      let best = ref (-1) and best_s = ref neg_infinity and evals = ref 0 in
       Graph.iter_neighbors graph v (fun u ->
           if u <> skip then begin
+            incr evals;
             let s = phi u in
             if s >= lo && ((not bounded) || s < below) && s > !best_s then begin
               best := u;
               best_s := s
             end
           end);
+      cost.evals <- !evals;
+      cost.bounds <- 0;
       !best
 
 let argmax t graph v ~skip ~lo = search t graph v ~skip ~lo ~bounded:false ~below:infinity

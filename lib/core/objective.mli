@@ -8,8 +8,9 @@
 type kernel
 (** What a specialised arg-max loop needs to evaluate [phi] inline: the
     weights, the packed coordinate store, the target's position, the
-    normalising constant [w_min * n], the norm and the dimension.  Only
-    {!girg_phi} builds one (for dimensions 1 to 3). *)
+    normalising constant [w_min * n], the norm, the dimension and the
+    instance's {!Girg.Instance.hub_index}.  Only {!girg_phi} builds one
+    (for dimensions 1 to 3). *)
 
 type t = {
   name : string;
@@ -32,23 +33,38 @@ val girg_phi : Girg.Instance.t -> target:int -> t
 (** The paper's objective [phi(v) = w_v / (w_min n ||x_v - x_t||^d)]
     (Section 2.2) — maximising [phi] maximises the connection probability
     to the target.  [score target = infinity].  Scores read the instance's
-    packed coordinate store; carries a {!kernel} when [dim <= 3]. *)
+    packed coordinate store; carries a {!kernel} when [dim <= 3], which
+    builds the instance's hub index on the first call. *)
 
 val argmax : t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> int
 (** [argmax t g v ~skip ~lo] is the neighbour [u <> skip] of [v] of
     maximum score among those scoring at least [lo], or [-1] if there is
     none.  Ties go to the smaller id; a [nan] score never wins.
 
-    Cost: O(deg v), allocation-free when [t] has a {!kernel} and [v]
-    reads its base CSR slice — one specialised loop per (norm, dim) with
-    [phi] inlined.  Otherwise (no kernel, or a row changed by
-    {!Sparse_graph.Graph.apply}) it runs the reference loop over
-    [t.score], which allocates a boxed float per neighbour.  Both paths
-    return the same vertex. *)
+    Cost, when [t] has a {!kernel} and [v] reads its base CSR slice:
+    allocation-free, one specialised loop per (norm, dim) with [phi]
+    inlined.  A row the kernel's {!Girg.Hub_index} indexes (degree above
+    {!Girg.Hub_index.degree_threshold}) costs O(deg/B + blocks scanned · B)
+    for blocks of B = {!Girg.Hub_index.block_size}: one bound per block,
+    then [phi] over the blocks whose bound reaches the best score found
+    and [lo].  Any other base row costs O(deg v).  Otherwise (no kernel,
+    or a row changed by {!Sparse_graph.Graph.apply}) it runs the
+    reference loop over [t.score], O(deg v), which allocates a boxed
+    float per neighbour.  Every path returns the same vertex. *)
 
 val argmax_below :
   t -> Sparse_graph.Graph.t -> int -> skip:int -> lo:float -> below:float -> int
-(** {!argmax} restricted further to scores below [below] (exclusive). *)
+(** {!argmax} restricted further to scores below [below] (exclusive).
+    [below] prunes no block of a hub row; [lo] does. *)
+
+val last_evals : unit -> int
+(** The scores the calling domain's last {!argmax} or {!argmax_below}
+    computed: every neighbour but [skip] on a scanned row, the members of
+    the scanned blocks on an indexed one. *)
+
+val last_bounds : unit -> int
+(** The block bounds that call computed: the row's block count on an
+    indexed row, [0] otherwise. *)
 
 val geometric : packed:Geometry.Torus.Packed.t -> target:int -> t
 (** Degree-agnostic geometric routing ([9, 10] in the paper): score

@@ -2,9 +2,15 @@ type point = float array
 
 type norm = Linf | L2 | L1
 
-let coord_dist a b =
+let[@inline] coord_dist a b =
   let d = abs_float (a -. b) in
   if d > 0.5 then 1.0 -. d else d
+
+let[@inline] interval_dist q ~lo ~hi =
+  if q >= lo && q <= hi then 0.0
+  else
+    let a = coord_dist q lo and b = coord_dist q hi in
+    if b < a then b else a
 
 let check_dims x y =
   if Array.length x <> Array.length y then

@@ -12,6 +12,15 @@ val coord_dist : float -> float -> float
 (** [coord_dist a b] is the 1-dimensional wrap-around distance
     [min (|a - b|) (1 - |a - b|)], always in [[0, 1/2]]. *)
 
+val interval_dist : float -> lo:float -> hi:float -> float
+(** [interval_dist q ~lo ~hi] is the wrap-around distance from [q] to the
+    closest point of the arc [[lo, hi]] ([lo <= hi], both in [[0, 1)]):
+    [0] inside it, else the nearer endpoint's {!coord_dist}.  As
+    computed in floating point it never exceeds [coord_dist x q] for any
+    [x] in [[lo, hi]] (rounding is monotone, and the far branch
+    [1 - d] is exact), so norms and powers of it bound the distances of
+    every point of a box from below. *)
+
 val dist : ?norm:norm -> point -> point -> float
 (** [dist x y] is the toroidal distance under [norm] (default [Linf]).
     @raise Invalid_argument if dimensions differ. *)

@@ -5,7 +5,27 @@ type t = {
   weights : float array;
   packed : Geometry.Torus.Packed.t;
   graph : Sparse_graph.Graph.t;
+  hubs : Hub_index.t option Atomic.t;
 }
+
+let make ~params ~weights ~packed ~graph = { params; weights; packed; graph; hubs = Atomic.make None }
+
+(* The index reads only the base arrays, so a graph over the same base
+   keeps it. *)
+let with_graph t graph =
+  if Sparse_graph.Graph.base_targets graph == Sparse_graph.Graph.base_targets t.graph then
+    { t with graph }
+  else make ~params:t.params ~weights:t.weights ~packed:t.packed ~graph
+
+(* Built on first use and published with one compare-and-set: a domain
+   that loses the race drops its copy and reads the winner's. *)
+let hub_index t =
+  match Atomic.get t.hubs with
+  | Some h -> h
+  | None ->
+      let h = Hub_index.build ~weights:t.weights ~packed:t.packed t.graph in
+      if Atomic.compare_and_set t.hubs None (Some h) then h
+      else Option.get (Atomic.get t.hubs)
 
 let threshold_n = 600
 
@@ -59,7 +79,7 @@ let generate_with ?(sampler = Auto) ?pool ~rng ~params ~weights ~positions () =
           (Edge_buf.flat buf))
   in
   let packed = Geometry.Torus.Packed.of_points ~dim:params.Params.dim positions in
-  { params; weights; packed; graph }
+  make ~params ~weights ~packed ~graph
 
 type vertex_data = {
   count : int;

@@ -9,7 +9,7 @@ type sampler =
   | Use_naive
   | Use_cell
 
-type t = {
+type t = private {
   params : Params.t;
   weights : float array;
   packed : Geometry.Torus.Packed.t;
@@ -17,7 +17,30 @@ type t = {
           dim-strided (see {!Geometry.Torus.Packed}).  [Packed.get] copies
           out one vertex's point for cold paths. *)
   graph : Sparse_graph.Graph.t;
+  hubs : Hub_index.t option Atomic.t;  (** see {!hub_index} *)
 }
+
+val make :
+  params:Params.t ->
+  weights:float array ->
+  packed:Geometry.Torus.Packed.t ->
+  graph:Sparse_graph.Graph.t ->
+  t
+(** The one constructor: every instance, generated, loaded or built by
+    hand, starts with no {!hub_index}. *)
+
+val with_graph : t -> Sparse_graph.Graph.t -> t
+(** The instance over another graph on the same vertices (a mutated or
+    compacted view).  It shares the built {!hub_index} when the new graph
+    reads the same base arrays, as every {!Sparse_graph.Graph.apply}
+    result does, and starts afresh otherwise. *)
+
+val hub_index : t -> Hub_index.t
+(** The block index over the graph's heavy base rows, built on the first
+    call (the first [Objective.girg_phi]) and kept.  Domain-safe without
+    a lock: racing domains may each build one, and all read the one that
+    was published first.  Instances that are never routed never build
+    it. *)
 
 val threshold_n : int
 (** Instance size below which [Auto] prefers the naive sampler (small graphs

@@ -114,4 +114,4 @@ let apply ~seed (inst : Instance.t) ops =
             else G.apply ~epoch g (resample_mutations ~base ~epoch inst g v))
       graph0 ops
   in
-  { inst with graph }
+  Instance.with_graph inst graph

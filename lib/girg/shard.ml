@@ -203,11 +203,8 @@ let merge ~paths () =
                 (Edge_buf.flat buf))
         in
         Ok
-          {
-            Instance.params = h.params;
-            weights = vd.Instance.v_weights;
-            packed =
-              Geometry.Torus.Packed.of_points ~dim:h.params.Params.dim vd.Instance.v_positions;
-            graph;
-          }
+          (Instance.make ~params:h.params ~weights:vd.Instance.v_weights
+             ~packed:
+               (Geometry.Torus.Packed.of_points ~dim:h.params.Params.dim vd.Instance.v_positions)
+             ~graph)
       end

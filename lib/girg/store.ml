@@ -152,14 +152,11 @@ let load_text ic =
                             if not !ok then Error "truncated or malformed edge section"
                             else
                               Ok
-                                {
-                                  Instance.params;
-                                  weights;
-                                  packed = Geometry.Torus.Packed.of_flat ~dim coords;
-                                  graph =
-                                    Sparse_graph.Graph.of_flat_halves ~n:count
-                                      ~len:(Edge_buf.flat_len buf) (Edge_buf.flat buf);
-                                }
+                                (Instance.make ~params ~weights
+                                   ~packed:(Geometry.Torus.Packed.of_flat ~dim coords)
+                                   ~graph:
+                                     (Sparse_graph.Graph.of_flat_halves ~n:count
+                                        ~len:(Edge_buf.flat_len buf) (Edge_buf.flat buf)))
                           end
                         | None -> fail "bad edge count %s" m_str
                       end
@@ -258,7 +255,7 @@ let load_binary ic =
   let targets = Codec.read_int_ba ic (2 * m) "targets" in
   match Sparse_graph.Graph.of_bigarrays ~n:count ~offsets ~targets () with
   | Error e -> Codec.corrupt "%s" e
-  | Ok graph -> { Instance.params; weights; packed; graph }
+  | Ok graph -> Instance.make ~params ~weights ~packed ~graph
 
 let load ~path =
   let dispatch ic =
@@ -320,6 +317,6 @@ let load_mmap ~path =
             Sparse_graph.Graph.of_bigarrays ~validate:false ~n:count ~offsets ~targets ()
           with
           | Error e -> Error e
-          | Ok graph -> Ok { Instance.params; weights; packed; graph }
+          | Ok graph -> Ok (Instance.make ~params ~weights ~packed ~graph)
         end
     end

@@ -44,7 +44,9 @@ let test_weight_layer_examples () =
   let layer_of_weight w =
     let weights = Array.copy inst.weights in
     weights.(1) <- w;
-    let inst' = { inst with Girg.Instance.weights = weights } in
+    let inst' =
+      Girg.Instance.make ~params:inst.params ~weights ~packed:inst.packed ~graph:inst.graph
+    in
     Layers.weight_layer (Layers.make ~inst:inst' ~target:0 ()) 1
   in
   Alcotest.(check int) "below base" (-1) (layer_of_weight 1.5);

@@ -6,7 +6,8 @@
    here routes twice and demands the same outcome (status, steps,
    visited, walk) and the same event stream, over norms x dims, plain
    and memoised objectives, a base CSR and a graph after [Graph.apply],
-   a planted tie and the target as a neighbour. *)
+   a planted tie and the target as a neighbour.  Hub graphs do the same
+   for rows the kernel reads through [Girg.Hub_index]. *)
 
 open Greedy_routing
 module G = Sparse_graph.Graph
@@ -155,12 +156,10 @@ let planted ~dim ~norm =
        point 0.875 0.625; point 0.125 0.25 |]
   in
   let params = Girg.Params.make ~dim ~norm ~n:6 () in
-  {
-    Girg.Instance.params;
-    weights = [| 1.0; 1.0; 2.0; 2.0; 2.0; 1.0 |];
-    packed = Geometry.Torus.Packed.of_points ~dim positions;
-    graph = G.of_edge_list ~n:6 [ (1, 2); (1, 3); (1, 4); (2, 0); (3, 5) ];
-  }
+  Girg.Instance.make ~params
+    ~weights:[| 1.0; 1.0; 2.0; 2.0; 2.0; 1.0 |]
+    ~packed:(Geometry.Torus.Packed.of_points ~dim positions)
+    ~graph:(G.of_edge_list ~n:6 [ (1, 2); (1, 3); (1, 4); (2, 0); (3, 5) ])
 
 let test_planted_tie_and_target () =
   with_recording (fun () ->
@@ -190,6 +189,169 @@ let test_planted_tie_and_target () =
                 protocols)
             [ 1; 2; 3 ])
         norms)
+
+(* Hub graphs: vertex 3 is adjacent to 608 = 19 x 32 vertices, so its
+   row is indexed in 19 Morton blocks.  Vertex 0 sits at (1/2, ..) and
+   is the target of the planted tie: 1 at (3/4, ..) and 2 at (1/4, ..)
+   have the same weight and the same dyadic distance to it, and outweigh
+   everything else, so the arg-max over the hub is the tie, and the tie
+   goes to 1.  The 31 fillers 4..34 are the only other members with every
+   coordinate at least 3/4: with 1 they fill the last Morton block, whose
+   box then starts exactly at 1's coordinates, so that block's bound
+   equals 1's score.  2 lies in an earlier block.  The other members are
+   uniform outside that corner cell and at L∞ distance at least 0.05
+   from 0.  [with_target] also joins the hub to 0, putting the target in
+   the indexed row; a sparse random graph on everything else gives the
+   protocols walks that cross the hub. *)
+let hub_members = 608
+let hub = 3
+
+let hub_instance ~dim ~norm ~seed ~with_target =
+  let rng = Prng.Rng.create ~seed in
+  let n = hub_members + 4 in
+  let corner x = Array.for_all (fun c -> c >= 0.75) x in
+  let rec outside () =
+    let x = Array.init dim (fun _ -> Prng.Rng.float rng 1.0) in
+    if corner x || Array.for_all (fun c -> Geometry.Torus.coord_dist c 0.5 < 0.05) x then outside ()
+    else x
+  in
+  let positions =
+    Array.init n (fun v ->
+        if v = 0 then Array.make dim 0.5
+        else if v = 1 then Array.make dim 0.75
+        else if v = 2 then Array.make dim 0.25
+        else if v >= 4 && v <= 34 then Array.init dim (fun _ -> 0.75 +. Prng.Rng.float rng 0.25)
+        else outside ())
+  in
+  let weights =
+    Array.init n (fun v -> if v = 1 || v = 2 then 1e6 else 1.0 +. Prng.Rng.float rng 2.0)
+  in
+  let edges = ref [] in
+  for v = 1 to n - 1 do
+    if v <> hub then edges := (hub, v) :: !edges
+  done;
+  if with_target then edges := (hub, 0) :: !edges;
+  for _ = 1 to 2 * n do
+    let u = Prng.Rng.int rng n and v = Prng.Rng.int rng n in
+    if u <> v && u <> hub && v <> hub then edges := (u, v) :: !edges
+  done;
+  let params = Girg.Params.make ~dim ~norm ~poisson_count:false ~n () in
+  Girg.Instance.make ~params ~weights
+    ~packed:(Geometry.Torus.Packed.of_points ~dim positions)
+    ~graph:(G.of_edge_list ~n !edges)
+
+(* The hub's arg-max against [reference] on both paths, over plain and
+   memoised objectives: unrestricted; [skip] equal to the true best;
+   [lo] at a member's score and above every member; [below] between
+   members; and a one-float range around every fifth member.  [indexed]
+   says whether the kernel must have read the index. *)
+let check_hub label ~indexed (o : Objective.t) g =
+  let phi = Objective.scorer o in
+  let nb = G.neighbors g hub in
+  let scores = Array.map phi nb in
+  let top = Array.fold_left Float.max neg_infinity scores in
+  let mid = scores.(Array.length nb / 3) in
+  let best = reference o g hub ~skip:(-1) ~lo:neg_infinity ~below:None in
+  let cases =
+    [
+      (-1, neg_infinity, None);
+      (best, neg_infinity, None);
+      (-1, mid, None);
+      (-1, Float.succ top, None);
+      (-1, neg_infinity, Some mid);
+      (nb.(7), mid, Some top);
+    ]
+    @ List.filteri (fun i _ -> i mod 5 = 0)
+        (Array.to_list (Array.map (fun s -> (-1, s, Some (Float.succ s))) scores))
+  in
+  let memo = Objective.Memo.wrap (Objective.Memo.create ()) ~n:(G.n g) o in
+  List.iter
+    (fun (skip, lo, below) ->
+      let want = reference o g hub ~skip ~lo ~below in
+      List.iter
+        (fun (path, o) ->
+          let got =
+            match below with
+            | None -> Objective.argmax o g hub ~skip ~lo
+            | Some below -> Objective.argmax_below o g hub ~skip ~lo ~below
+          in
+          if got <> want then
+            Alcotest.failf "%s %s hub argmax skip=%d lo=%h: got %d, want %d" label path skip lo got
+              want;
+          if path <> "closure" && indexed <> (Objective.last_bounds () > 0) then
+            Alcotest.failf "%s %s: index read %b, want %b" label path (not indexed) indexed)
+        [ ("kernel", o); ("memo", memo); ("closure", closure o) ])
+    cases
+
+let hub_targets = [ 0; 1; 2; 5; 40; 100; 300; 611 ]
+
+let test_hub_rows () =
+  List.iter
+    (fun (nname, norm) ->
+      List.iter
+        (fun dim ->
+          List.iter
+            (fun with_target ->
+              let inst = hub_instance ~dim ~norm ~seed:(17 * dim) ~with_target in
+              let g = inst.Girg.Instance.graph in
+              let label = Printf.sprintf "%s d=%d%s" nname dim (if with_target then " +t" else "") in
+              let idx = Girg.Instance.hub_index inst in
+              Alcotest.(check (array int)) (label ^ " one indexed row") [| hub |] idx.Girg.Hub_index.hubs;
+              (* The tie: 1 in a later block than 2, and 1 wins. *)
+              let block u =
+                let k = ref 0 in
+                while idx.Girg.Hub_index.members.(!k) <> u do incr k done;
+                !k / Girg.Hub_index.block_size
+              in
+              Alcotest.(check bool) (label ^ " 1's block after 2's") true (block 1 > block 2);
+              let o = Objective.girg_phi inst ~target:0 in
+              Alcotest.(check bool) (label ^ " tie is exact") true (Objective.scorer o 1 = Objective.scorer o 2);
+              Alcotest.(check int) (label ^ " tie to smaller id")
+                (if with_target then 0 else 1)
+                (Objective.argmax o g hub ~skip:(-1) ~lo:neg_infinity);
+              Alcotest.(check int) (label ^ " skipping the best") (if with_target then 1 else 2)
+                (Objective.argmax o g hub
+                   ~skip:(if with_target then 0 else 1)
+                   ~lo:neg_infinity);
+              List.iter
+                (fun t ->
+                  let o = Objective.girg_phi inst ~target:t in
+                  check_hub (Printf.sprintf "%s t=%d base" label t) ~indexed:true o g;
+                  (* A changed hub row is scanned; a changed row elsewhere
+                     leaves the hub on the index. *)
+                  let dropped = G.apply g [ G.Remove_edge (hub, 5) ] in
+                  check_hub (Printf.sprintf "%s t=%d hub row changed" label t) ~indexed:false o dropped;
+                  let other = Array.find_opt (fun u -> u <> hub) (G.neighbors g 7) in
+                  let elsewhere = G.apply g [ G.Remove_edge (7, Option.get other) ] in
+                  check_hub (Printf.sprintf "%s t=%d other row changed" label t) ~indexed:true o elsewhere;
+                  (* Compacted under the old index: the objective still
+                     holds it, but it does not cover the new base. *)
+                  let compacted = G.compact dropped in
+                  check_hub (Printf.sprintf "%s t=%d compacted" label t) ~indexed:false o compacted;
+                  let fresh = Girg.Instance.with_graph inst compacted in
+                  check_hub (Printf.sprintf "%s t=%d re-indexed" label t) ~indexed:true
+                    (Objective.girg_phi fresh ~target:t) compacted)
+                hub_targets;
+              with_recording (fun () ->
+                  let memo = Objective.Memo.create () in
+                  List.iter
+                    (fun t ->
+                      let plain = Objective.girg_phi inst ~target:t in
+                      List.iter
+                        (fun protocol ->
+                          List.iter
+                            (fun s ->
+                              if s <> t then begin
+                                check_same (label ^ " plain") protocol ~graph:g ~objective:plain ~source:s;
+                                check_same (label ^ " memo") protocol ~graph:g
+                                  ~objective:(Objective.Memo.wrap memo ~n:(G.n g) plain) ~source:s
+                              end)
+                            [ hub; 7; 250 ])
+                        protocols)
+                    [ 0; 40; 300 ]))
+            [ false; true ])
+        [ 1; 2; 3 ])
+    norms
 
 let test_other_objectives_have_no_kernel () =
   let inst = planted ~dim:2 ~norm:Geometry.Torus.Linf in
@@ -231,6 +393,8 @@ let suite =
       test_girg_equivalence;
     Alcotest.test_case "kernel = closure: planted tie, target neighbour" `Quick
       test_planted_tie_and_target;
+    Alcotest.test_case "indexed hub row = scan = reference: ties, target, skip, lo, below, apply, compact"
+      `Quick test_hub_rows;
     Alcotest.test_case "only girg_phi (and its memo) carries a kernel" `Quick
       test_other_objectives_have_no_kernel;
   ]

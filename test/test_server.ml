@@ -1022,7 +1022,7 @@ let test_exec_mutate_invalidates_cache () =
   Alcotest.(check string) "served = local replay of the mutation" expected after;
   Alcotest.(check string) "served = compacted replay" after
     (local_route
-       { mutated with Girg.Instance.graph = Sparse_graph.Graph.compact mutated.Girg.Instance.graph });
+       (Girg.Instance.with_graph mutated (Sparse_graph.Graph.compact mutated.Girg.Instance.graph)));
   Alcotest.(check bool) "route actually changed" true (after <> before);
   Alcotest.(check int) "recomputed, not served stale" 2 (Server.Cache.misses cache);
   Alcotest.(check int) "no new hits" 1 (Server.Cache.hits cache);
